@@ -4,8 +4,8 @@ All commands read one JSON run config, record its hash in their outputs,
 and derive every random stream from the single config seed, so rerunning
 any command with the same inputs produces byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 I/O error.
+Exit codes: 0 success, 2 configuration or argument error, 3 solver
+non-convergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,6 +51,11 @@ def _state_doc(node: StateNode, sigma=None) -> dict:
     if sigma is not None:
         doc["sigma"] = _vec(sigma)
     return doc
+
+
+def _node_from_doc(doc) -> StateNode:
+    T = np.array(doc["T"], dtype=float).reshape(4, 4)
+    return StateNode(float(doc["s"]), T, np.array(doc["eps"], dtype=float))
 
 
 def _shape_docs(samples) -> list:
@@ -91,14 +97,7 @@ def _load_dataset(path) -> list:
         dataset = []
         for run in document["runs"]:
             actuation = Actuation(tuple(run["actuation"]), tuple(run["tip_wrench"]))
-            nodes = [
-                StateNode(
-                    float(st["s"]),
-                    np.array(st["T"], dtype=float).reshape(4, 4),
-                    np.array(st["eps"], dtype=float),
-                )
-                for st in run["states"]
-            ]
+            nodes = [_node_from_doc(st) for st in run["states"]]
             sigma = np.array([st["sigma"] for st in run["states"]], dtype=float)
             dataset.append((actuation, GroundTruthShape(nodes, sigma)))
         return dataset
@@ -107,18 +106,11 @@ def _load_dataset(path) -> list:
 
 
 def _measurement_doc(m) -> dict:
-    if isinstance(m, PoseMeasurement):
-        return {
-            "kind": "pose",
-            "s": float(m.s),
-            "value": _vec(m.T_meas),
-            "R": _vec(m.R),
-            "mask": [bool(b) for b in m.mask],
-        }
+    pose = isinstance(m, PoseMeasurement)
     return {
-        "kind": "strain",
+        "kind": "pose" if pose else "strain",
         "s": float(m.s),
-        "value": _vec(m.eps_meas),
+        "value": _vec(m.T_meas if pose else m.eps_meas),
         "R": _vec(m.R),
         "mask": [bool(b) for b in m.mask],
     }
@@ -226,11 +218,7 @@ def cmd_sample_posterior(args) -> int:
             document["nodes"] + document["interpolated"], key=lambda st: st["s"]
         )
         nodes = [
-            StateNode(
-                float(st["s"]),
-                np.array(st["T"], dtype=float).reshape(4, 4),
-                np.array(st["eps"], dtype=float),
-            )
+            _node_from_doc(st)
             for st in states
             if any(abs(st["s"] - g) < solver.NODE_MATCH_TOL for g in grid)
         ]
@@ -305,8 +293,30 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument in one line on stderr and exits with EXIT_CONFIG."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(kind, low, high=math.inf):
+    """argparse type: a value of `kind` in [low, high]."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} in [{low}, {high}], got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rodgp",
         description="Continuum-robot state estimation pipeline on simulated data.",
     )
@@ -314,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a dataset of static equilibria")
     p.add_argument("--config", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_ranged(int, 1), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--loaded-fraction", type=float, default=0.5)
+    p.add_argument("--loaded-fraction", type=_ranged(float, 0.0, 1.0), default=0.5)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate one dataset run")
@@ -330,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-prior", help="draw shape samples from the prior")
     p.add_argument("--config", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_ranged(int, 0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample_prior)
 
     p = sub.add_parser("sample-posterior", help="draw samples around an estimate")
     p.add_argument("--solution", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_ranged(int, 0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample_posterior)
 

@@ -11,115 +11,103 @@ from __future__ import annotations
 import numpy as np
 
 from . import se3
-from .prior import StateNode, process_cov, process_cov_inv, transition
+from .prior import StateNode, process_cov, process_cov_inv, stack_nodes, transition
 from .solver import Solution
 
+# Queries this close to a node return that node's estimate.
+NODE_HIT_TOL = 1e-12
+# Interior queries are evaluated this many at a time.
+QUERY_CHUNK = 64
 
-def interp_matrices(tau: float, s_k: float, s_k1: float, hyper):
-    """Gain matrices (Lambda, Psi) for a query at tau inside [s_k, s_k1]."""
-    if not (s_k <= tau <= s_k1) or s_k1 <= s_k:
+
+def interp_matrices(tau, s_k, s_k1, hyper):
+    """Gain matrices (Lambda, Psi) for a query at tau inside [s_k, s_k1], or stacks."""
+    tau, s_k, s_k1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (tau, s_k, s_k1)))
+    if not np.all((s_k <= tau) & (tau <= s_k1) & (s_k < s_k1)):
         raise ValueError("query arclength must lie inside the interval")
-    if tau == s_k:
-        return np.eye(12), np.zeros((12, 12))
-    Psi = process_cov(tau - s_k, hyper) @ transition(s_k1, tau).T @ process_cov_inv(s_k1 - s_k, hyper)
+    # At the left knot the gains are exactly (I, 0); process_cov needs a
+    # positive length, so those entries are computed on a stand-in and zeroed.
+    Q_tau = process_cov(np.where(tau > s_k, tau - s_k, s_k1 - s_k), hyper)
+    Psi = Q_tau @ np.swapaxes(transition(s_k1, tau), -1, -2) @ process_cov_inv(s_k1 - s_k, hyper)
+    Psi = np.where((tau == s_k)[..., None, None], 0.0, Psi)
     Lam = transition(tau, s_k) - Psi @ transition(s_k1, s_k)
     return Lam, Psi
 
 
-def _bracket(grid: np.ndarray, tau: float) -> int:
-    """Index k with s_k <= tau <= s_{k+1}; exact hits prefer the left node."""
-    if tau < grid[0] - 1e-12 or tau > grid[-1] + 1e-12:
-        raise ValueError(f"query arclength {tau} outside the grid span")
-    k = int(np.searchsorted(grid, tau, side="right")) - 1
-    return min(max(k, 0), grid.size - 2)
+def _lower(A, B):
+    """12x12 matrices [[A, 0], [B, A]] from stacked 6x6 blocks."""
+    out = np.zeros(A.shape[:-2] + (12, 12))
+    out[..., 0:6, 0:6] = out[..., 6:12, 6:12] = A
+    out[..., 6:12, 0:6] = B
+    return out
 
 
-def _node_hit(grid: np.ndarray, tau: float):
-    hits = np.flatnonzero(np.abs(grid - tau) <= 1e-12)
-    return int(hits[0]) if hits.size else None
+def query(solution: Solution, taus):
+    """Posterior means and covariances at every arclength in taus.
 
+    Returns (states, covs): one StateNode per arclength and an (n, 12, 12)
+    array. Arclengths on a node return copies of its estimate and marginal
+    covariance. Every other query applies the interpolation gains to the
+    knots of its interval, computed once per interval, and maps the local
+    covariance back to a left perturbation at the queried mean.
+    """
+    grid, hyper = solution.grid, solution.hyper
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    outside = (taus < grid[0] - NODE_HIT_TOL) | (taus > grid[-1] + NODE_HIT_TOL)
+    if outside.any():
+        raise ValueError(f"query arclength {taus[outside][0]} outside the grid span")
+    states = [None] * taus.size
+    covs = np.empty((taus.size, 12, 12))
+    hits = np.abs(taus[:, None] - grid[None, :]) <= NODE_HIT_TOL
+    for i in np.flatnonzero(hits.any(axis=1)):
+        k = int(np.argmax(hits[i]))
+        states[i], covs[i] = solution.nodes[k].copy(), solution.marginal_covs[k]
+    inner = np.flatnonzero(~hits.any(axis=1))
+    if inner.size == 0:
+        return states, covs
 
-def _local_knots(solution: Solution, k: int):
-    """gamma at both ends of interval k in the left node's frame."""
-    left, right = solution.nodes[k], solution.nodes[k + 1]
-    xi = se3.log_se3(right.T @ se3.pose_inverse(left.T))
-    gamma_l = np.concatenate([np.zeros(6), left.eps])
-    gamma_r = np.concatenate([xi, se3.left_jacobian_inv(xi) @ right.eps])
-    return gamma_l, gamma_r
+    # Knots of each interval holding a query, in the left node's frame.
+    k = np.clip(np.searchsorted(grid, taus[inner], side="right") - 1, 0, grid.size - 2)
+    intervals, k_local = np.unique(k, return_inverse=True)
+    nodes = stack_nodes(solution.nodes)
+    T_l, eps_l, eps_r = nodes.T[intervals], nodes.eps[intervals], nodes.eps[intervals + 1]
+    xi = se3.log_se3(nodes.T[intervals + 1] @ se3.pose_inverse(T_l))
+    J_inv = se3.left_jacobian_inv(xi)
+    gamma_l = np.concatenate([np.zeros_like(eps_l), eps_l], axis=-1)
+    gamma_r = np.concatenate([xi, (J_inv @ eps_r[..., None])[..., 0]], axis=-1)
+    # D: the posterior joint covariance of the bracketing nodes in local
+    # coordinates, minus the knots' prior covariance in that frame (zero at
+    # the anchor). At a knot with local coordinate xi, node perturbations
+    # (dt, de) move (dxi, dpsi) by [[J_inv, 0], [0.5 curly_hat(eps) J_inv,
+    # J_inv]], the first-order coupling of the prior Jacobian.
+    G = np.zeros((intervals.size, 24, 24))
+    G[:, 0:12, 0:12] = _lower(np.broadcast_to(np.eye(6), J_inv.shape), 0.5 * se3.curly_hat(eps_l))
+    G[:, 12:24, 12:24] = _lower(J_inv, 0.5 * se3.curly_hat(eps_r) @ J_inv)
+    D = G @ solution.joint_covs[intervals] @ np.swapaxes(G, -1, -2)
+    D[:, 12:24, 12:24] -= process_cov(grid[intervals + 1] - grid[intervals], hyper)
+
+    # Bounded chunks keep the per-query temporaries small.
+    for lo in range(0, inner.size, QUERY_CHUNK):
+        i, k_i, j = inner[lo : lo + QUERY_CHUNK], k[lo : lo + QUERY_CHUNK], k_local[lo : lo + QUERY_CHUNK]
+        Lam, Psi = interp_matrices(taus[i], grid[k_i], grid[k_i + 1], hyper)
+        gamma = (Lam @ gamma_l[j, :, None] + Psi @ gamma_r[j, :, None])[..., 0]
+        J = se3.left_jacobian(gamma[:, 0:6])
+        eps = (J @ gamma[:, 6:12, None])[..., 0]
+        T = se3.exp_se3(gamma[:, 0:6]) @ T_l[j]
+        gain = np.concatenate([Lam, Psi], axis=-1)
+        P_local = process_cov(taus[i] - grid[k_i], hyper) + gain @ D[j] @ np.swapaxes(gain, -1, -2)
+        H = _lower(J, -0.5 * J @ se3.curly_hat(eps))
+        covs[i] = H @ P_local @ np.swapaxes(H, -1, -2)
+        for q, tau, T_q, eps_q in zip(i, taus[i], T, eps):
+            states[q] = StateNode(float(tau), T_q, eps_q)
+    return states, covs
 
 
 def query_state(solution: Solution, tau: float) -> StateNode:
     """Posterior mean state at an arbitrary arclength."""
-    grid = solution.grid
-    hit = _node_hit(grid, tau)
-    if hit is not None:
-        return solution.nodes[hit].copy()
-    k = _bracket(grid, tau)
-    Lam, Psi = interp_matrices(tau, grid[k], grid[k + 1], solution.hyper)
-    gamma_l, gamma_r = _local_knots(solution, k)
-    gamma = Lam @ gamma_l + Psi @ gamma_r
-    xi, psi = gamma[0:6], gamma[6:12]
-    T = se3.exp_se3(xi) @ solution.nodes[k].T
-    eps = se3.left_jacobian(xi) @ psi
-    return StateNode(float(tau), T, eps)
-
-
-def _local_from_global(xi, eps):
-    """Linear map from node perturbations (dt, de) to (dxi, dpsi).
-
-    At a knot whose local coordinate is xi, a left pose perturbation moves
-    xi through J(xi)^-1 and the strain enters psi = J(xi)^-1 eps with the
-    same first-order 0.5 curly_hat coupling used by the prior Jacobian.
-    """
-    J_inv = se3.left_jacobian_inv(xi)
-    G = np.zeros((12, 12))
-    G[0:6, 0:6] = J_inv
-    G[6:12, 0:6] = 0.5 * se3.curly_hat(eps) @ J_inv
-    G[6:12, 6:12] = J_inv
-    return G
-
-
-def _global_from_local(xi, psi):
-    """Inverse map from (dxi, dpsi) at a queried point to (dt, de)."""
-    J = se3.left_jacobian(xi)
-    eps = J @ psi
-    H = np.zeros((12, 12))
-    H[0:6, 0:6] = J
-    H[6:12, 0:6] = -0.5 * J @ se3.curly_hat(eps)
-    H[6:12, 6:12] = J
-    return H
+    return query(solution, tau)[0][0]
 
 
 def query_cov(solution: Solution, tau: float) -> np.ndarray:
-    """Posterior 12x12 covariance at an arbitrary arclength.
-
-    The correction term transports the joint covariance of the bracketing
-    nodes into the left node's local coordinates, applies the interpolation
-    gains, and maps back to a left perturbation at the queried mean.
-    """
-    grid = solution.grid
-    hit = _node_hit(grid, tau)
-    if hit is not None:
-        return solution.marginal_covs[hit].copy()
-    k = _bracket(grid, tau)
-    hyper = solution.hyper
-    Lam, Psi = interp_matrices(tau, grid[k], grid[k + 1], hyper)
-    gamma_l, gamma_r = _local_knots(solution, k)
-    gamma = Lam @ gamma_l + Psi @ gamma_r
-
-    # Prior covariance of gamma(tau) and of the two knots, all in the local
-    # frame anchored at node k (zero covariance at the anchor).
-    Q_tau = process_cov(tau - grid[k], hyper)
-    Q_int = process_cov(grid[k + 1] - grid[k], hyper)
-    gain = np.hstack([Lam, Psi])
-    P_check_pair = np.zeros((24, 24))
-    P_check_pair[12:24, 12:24] = Q_int
-
-    G = np.zeros((24, 24))
-    G[0:12, 0:12] = _local_from_global(np.zeros(6), solution.nodes[k].eps)
-    G[12:24, 12:24] = _local_from_global(gamma_r[0:6], solution.nodes[k + 1].eps)
-    P_hat_pair = G @ solution.joint_covs[k] @ G.T
-
-    P_local = Q_tau + gain @ (P_hat_pair - P_check_pair) @ gain.T
-    H = _global_from_local(gamma[0:6], gamma[6:12])
-    return H @ P_local @ H.T
+    """Posterior 12x12 covariance at an arbitrary arclength."""
+    return query(solution, tau)[1][0]

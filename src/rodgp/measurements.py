@@ -80,16 +80,25 @@ def pose_error(meas: PoseMeasurement, T) -> np.ndarray:
     full = se3.log_se3(meas.T_meas @ se3.pose_inverse(T))
     return full[meas.mask]
 
+
+def pose_residual(T_meas, T):
+    """Unmasked pose error log(T_meas T^-1) and its 6x6 pose Jacobian.
+
+    e(dt) = log(T_meas (exp(hat6(dt)) T)^-1), so the Jacobian is
+    -J(e)^-1 Ad(T_meas T^-1). Stacked poses give stacked results.
+    """
+    rel = np.asarray(T_meas, dtype=float) @ se3.pose_inverse(T)
+    e = se3.log_se3(rel)
+    return e, -se3.left_jacobian_inv(e) @ se3.adjoint(rel)
+
+
 def pose_error_jacobian(meas: PoseMeasurement, T) -> np.ndarray:
     """Masked rows of the 6x12 Jacobian w.r.t. (dt, de) at the node.
 
-    e(dt) = log(T_meas (exp(hat6(dt)) T)^-1), so the pose block is
-    -J(e)^-1 Ad(T_meas T^-1) and the strain block is zero.
+    The pose block is pose_residual's Jacobian and the strain block is zero.
     """
-    rel = meas.T_meas @ se3.pose_inverse(T)
-    e = se3.log_se3(rel)
     J = np.zeros((6, 12))
-    J[:, 0:6] = -se3.left_jacobian_inv(e) @ se3.adjoint(rel)
+    J[:, 0:6] = pose_residual(meas.T_meas, T)[1]
     return J[meas.mask, :]
 
 

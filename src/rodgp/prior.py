@@ -44,7 +44,10 @@ class PriorHyperparams:
 
 @dataclass
 class StateNode:
-    """Estimation variable at one grid arclength: pose and strain."""
+    """Estimation variable at one grid arclength: pose and strain.
+
+    Fields of shape (n,), (n, 4, 4) and (n, 6) hold a stack of n nodes.
+    """
 
     s: float
     T: np.ndarray
@@ -53,11 +56,20 @@ class StateNode:
     def __post_init__(self):
         self.T = np.array(self.T, dtype=float)
         self.eps = np.array(self.eps, dtype=float)
-        if self.eps.shape != (6,):
+        if self.eps.shape[-1:] != (6,):
             raise ValueError(f"eps must be length 6, got {self.eps.shape}")
 
     def copy(self) -> "StateNode":
         return StateNode(self.s, self.T.copy(), self.eps.copy())
+
+
+def stack_nodes(nodes) -> StateNode:
+    """One StateNode holding a list of nodes as stacked arrays."""
+    return StateNode(
+        np.array([node.s for node in nodes], dtype=float),
+        np.stack([node.T for node in nodes]),
+        np.stack([node.eps for node in nodes]),
+    )
 
 
 def validate_grid(grid) -> np.ndarray:
@@ -78,80 +90,74 @@ def uniform_grid(length: float, n_intervals: int) -> np.ndarray:
     return np.linspace(0.0, length, n_intervals + 1)
 
 
-def transition(s: float, s_prev: float) -> np.ndarray:
-    """12x12 transition [[I, ds*I], [0, I]] of gamma over [s_prev, s]."""
-    ds = s - s_prev
-    if ds < 0:
+def transition(s, s_prev) -> np.ndarray:
+    """12x12 transition [[I, ds*I], [0, I]] of gamma over [s_prev, s], or a stack."""
+    ds = np.asarray(s, dtype=float) - s_prev
+    if np.any(ds < 0):
         raise ValueError("transition requires s >= s_prev")
-    Phi = np.eye(12)
-    Phi[0:6, 6:12] = ds * np.eye(6)
+    Phi = np.broadcast_to(np.eye(12), ds.shape + (12, 12)).copy()
+    Phi[..., 0:6, 6:12] = ds[..., None, None] * np.eye(6)
     return Phi
 
 
-def process_cov(ds: float, hyper: PriorHyperparams) -> np.ndarray:
-    """Accumulated process noise over an interval of length ds > 0."""
-    if ds <= 0:
+def _blocks(ds, a, b, c, M) -> np.ndarray:
+    """12x12 matrices [[a M, b M], [b M, c M]] for each interval length in ds > 0."""
+    if np.any(ds <= 0):
         raise ValueError("process covariance requires ds > 0")
-    Qc = hyper.Qc
-    Q = np.zeros((12, 12))
-    Q[0:6, 0:6] = (ds**3 / 3.0) * Qc
-    Q[0:6, 6:12] = (ds**2 / 2.0) * Qc
-    Q[6:12, 0:6] = (ds**2 / 2.0) * Qc
-    Q[6:12, 6:12] = ds * Qc
-    return Q
+    coeffs = np.moveaxis(np.array([[a, b], [b, c]]), (0, 1), (-2, -1))
+    return (coeffs[..., :, None, :, None] * M[:, None, :]).reshape(ds.shape + (12, 12))
 
 
-def process_cov_inv(ds: float, hyper: PriorHyperparams) -> np.ndarray:
+def process_cov(ds, hyper: PriorHyperparams) -> np.ndarray:
+    """Accumulated process noise over an interval of length ds > 0, or a stack."""
+    ds = np.asarray(ds, dtype=float)
+    return _blocks(ds, ds**3 / 3.0, ds**2 / 2.0, ds, hyper.Qc)
+
+
+def process_cov_inv(ds, hyper: PriorHyperparams) -> np.ndarray:
     """Closed-form inverse of process_cov (no numeric 12x12 inversion)."""
-    if ds <= 0:
-        raise ValueError("process covariance requires ds > 0")
-    Qc_inv = np.linalg.inv(hyper.Qc)
-    Qi = np.zeros((12, 12))
-    Qi[0:6, 0:6] = (12.0 / ds**3) * Qc_inv
-    Qi[0:6, 6:12] = (-6.0 / ds**2) * Qc_inv
-    Qi[6:12, 0:6] = (-6.0 / ds**2) * Qc_inv
-    Qi[6:12, 6:12] = (4.0 / ds) * Qc_inv
-    return Qi
+    ds = np.asarray(ds, dtype=float)
+    return _blocks(ds, 12.0 / ds**3, -6.0 / ds**2, 4.0 / ds, np.linalg.inv(hyper.Qc))
 
 
 def prior_error(prev: StateNode, cur: StateNode) -> np.ndarray:
     """12-vector prior error of one interval, zero on constant-strain rollouts.
 
     Top block: log(T_k T_{k-1}^-1) - ds * eps_{k-1}. Bottom block:
-    J(log(T_k T_{k-1}^-1))^-1 eps_k - eps_{k-1}.
+    J(log(T_k T_{k-1}^-1))^-1 eps_k - eps_{k-1}. Stacked nodes give one
+    error per interval.
     """
-    ds = cur.s - prev.s
+    ds = np.asarray(cur.s - prev.s, dtype=float)[..., None]
     xi = se3.log_se3(cur.T @ se3.pose_inverse(prev.T))
-    e = np.empty(12)
-    e[0:6] = xi - ds * prev.eps
-    e[6:12] = se3.left_jacobian_inv(xi) @ cur.eps - prev.eps
-    return e
+    strain = (se3.left_jacobian_inv(xi) @ cur.eps[..., None])[..., 0]
+    return np.concatenate([xi - ds * prev.eps, strain - prev.eps], axis=-1)
 
 
 def prior_error_jacobian(prev: StateNode, cur: StateNode) -> np.ndarray:
     """12x24 Jacobian of prior_error w.r.t. (dt_{k-1}, de_{k-1}, dt_k, de_k).
 
-    Pose perturbations are left perturbations T <- exp(hat6(dt)) T. The
-    strain-row pose blocks use the first-order 0.5 * curly_hat(eps_k)
-    linearisation of the inverse-Jacobian derivative, which is the form the
-    solver consumes; it is accurate to first order in the inter-node twist.
+    Stacked nodes give one Jacobian per interval. Pose perturbations are
+    left perturbations T <- exp(hat6(dt)) T. The strain-row pose blocks use
+    the first-order 0.5 * curly_hat(eps_k) linearisation of the
+    inverse-Jacobian derivative, which is the form the solver consumes; it
+    is accurate to first order in the inter-node twist.
     """
-    ds = cur.s - prev.s
+    ds = np.asarray(cur.s - prev.s, dtype=float)[..., None, None]
     rel = cur.T @ se3.pose_inverse(prev.T)
     xi = se3.log_se3(rel)
     J_inv = se3.left_jacobian_inv(xi)
     T_adj = se3.adjoint(rel)
     half_curly = 0.5 * se3.curly_hat(cur.eps)
 
-    E = np.zeros((12, 24))
+    E = np.zeros(J_inv.shape[:-2] + (12, 24))
     J_inv_T = J_inv @ T_adj
-    E[0:6, 0:6] = -J_inv_T
-    E[0:6, 6:12] = -ds * np.eye(6)
-    E[0:6, 12:18] = J_inv
-    E[6:12, 0:6] = -half_curly @ J_inv_T
-    E[6:12, 6:12] = -np.eye(6)
-    E[6:12, 12:18] = half_curly @ J_inv
-    E[6:12, 18:24] = J_inv
+    E[..., 0:6, 0:6] = -J_inv_T
+    E[..., 0:6, 6:12] = -ds * np.eye(6)
+    E[..., 0:6, 12:18] = J_inv
+    E[..., 6:12, 0:6] = -half_curly @ J_inv_T
+    E[..., 6:12, 6:12] = -np.eye(6)
+    E[..., 6:12, 12:18] = half_curly @ J_inv
+    E[..., 6:12, 18:24] = J_inv
     return E
 
 
@@ -161,16 +167,12 @@ def prior_cost(errors, grid, hyper: PriorHyperparams) -> float:
     errors = np.asarray(errors, dtype=float)
     if errors.shape != (s.size - 1, 12):
         raise ValueError(f"expected {(s.size - 1, 12)} errors, got {errors.shape}")
-    total = 0.0
-    for k in range(1, s.size):
-        Qi = process_cov_inv(s[k] - s[k - 1], hyper)
-        e = errors[k - 1]
-        total += 0.5 * float(e @ Qi @ e)
-    return total
+    Qi_e = (process_cov_inv(np.diff(s), hyper) @ errors[..., None])[..., 0]
+    return 0.5 * float(np.sum(errors * Qi_e))
 
 
 def sample_prior(hyper: PriorHyperparams, grid, count: int, rng, root_pose=None):
-    """Draw rod-shape samples by sequential rollout from the root.
+    """Draw rod-shape samples by sequential rollout from the root, all at once.
 
     Each sample starts at gamma = (0, eps_bar) in the root frame, propagates
     the current gamma through the interval transition, adds Cholesky-shaped
@@ -183,17 +185,17 @@ def sample_prior(hyper: PriorHyperparams, grid, count: int, rng, root_pose=None)
         root_pose = np.eye(4)
     root_pose = se3.check_pose(root_pose)
 
-    samples = []
-    for _ in range(count):
-        nodes = [StateNode(s[0], root_pose.copy(), hyper.eps_bar.copy())]
-        for k in range(1, s.size):
-            ds = s[k] - s[k - 1]
-            gamma = np.concatenate([np.zeros(6), nodes[-1].eps])
-            L = np.linalg.cholesky(process_cov(ds, hyper))
-            gamma = transition(s[k], s[k - 1]) @ gamma + L @ rng.standard_normal(12)
-            xi, psi = gamma[0:6], gamma[6:12]
-            T = se3.exp_se3(xi) @ nodes[-1].T
-            eps = se3.left_jacobian(xi) @ psi
-            nodes.append(StateNode(s[k], T, eps))
-        samples.append(nodes)
-    return samples
+    L = np.linalg.cholesky(process_cov(np.diff(s), hyper))
+    Phi = transition(s[1:], s[:-1])
+    # All samples advance together; z holds the draws in the order a
+    # sample-by-sample rollout takes them.
+    z = rng.standard_normal((count, s.size - 1, 12))
+    poses = [np.broadcast_to(root_pose, (count, 4, 4))]
+    strains = [np.broadcast_to(hyper.eps_bar, (count, 6))]
+    for k in range(1, s.size):
+        gamma = np.concatenate([np.zeros((count, 6)), strains[-1]], axis=-1)
+        gamma = (Phi[k - 1] @ gamma[..., None] + L[k - 1] @ z[:, k - 1, :, None])[..., 0]
+        poses.append(se3.exp_se3(gamma[:, 0:6]) @ poses[-1])
+        strains.append((se3.left_jacobian(gamma[:, 0:6]) @ gamma[:, 6:12, None])[..., 0])
+    poses, strains = np.stack(poses, axis=1), np.stack(strains, axis=1)
+    return [[StateNode(*node) for node in zip(s, T, eps)] for T, eps in zip(poses, strains)]

@@ -16,6 +16,7 @@ dT/ds = hat6(eps) T, so simulated strains feed the prior directly.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +161,7 @@ class GroundTruthShape:
         if self.sigma.shape != (len(self.nodes), 6):
             raise ValueError("need one 6-vector stress per node")
 
-    @property
+    @functools.cached_property
     def arclengths(self) -> np.ndarray:
         return np.array([node.s for node in self.nodes])
 

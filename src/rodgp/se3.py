@@ -2,37 +2,94 @@
 
 Poses are plain 4x4 homogeneous transforms, twists are length-6 vectors with
 the translational part stacked above the rotational part. All functions are
-pure and side-effect free.
+pure and side-effect free. The maps between twists, poses and Jacobians also
+take stacks, (..., 6) twists or (..., 4, 4) poses, and return one result per
+stacked element; a single twist or pose is the unstacked case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Below this rotation angle the exponential falls back to a second-order
-# Taylor expansion to avoid 0/0 in the closed forms.
-SMALL_ANGLE = 1e-8
-# Below this angle the SE(3) Jacobians are evaluated by truncated series.
-# The closed-form coefficients cancel catastrophically as theta -> 0 while
-# the series converges to machine precision in a few terms there.
-SERIES_ANGLE = 0.1
+# Below this rotation angle the scalar coefficients of the closed forms
+# (sin(theta)/theta, (1 - cos(theta))/theta^2, ...) switch to their Taylor
+# series in theta^2: the closed forms cancel catastrophically as theta -> 0,
+# while seven series terms are exact to machine precision up to here.
+TAYLOR_ANGLE = 0.3
 # Tolerance on the structural zeros checked by the vee maps.
 STRUCTURE_TOL = 1e-9
 # log is restricted to rotation angles below pi minus this margin; the
 # principal branch is ill-conditioned at the cut.
 BRANCH_MARGIN = 1e-6
 
+# The hat maps are linear, so a stack of hats is one product with these
+# generators: _HAT3[i] = hat3(e_i), and likewise for hat6 and curly_hat.
+_HAT3 = np.zeros((3, 3, 3))
+_HAT3[[0, 1, 2], [2, 0, 1], [1, 2, 0]], _HAT3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0, -1.0
+_HAT6 = np.zeros((6, 4, 4))
+_HAT6[0:3, 0:3, 3], _HAT6[3:6, 0:3, 0:3] = np.eye(3), _HAT3
+_CURLY = np.zeros((6, 6, 6))
+_CURLY[0:3, 0:3, 3:6] = _CURLY[3:6, 0:3, 0:3] = _CURLY[3:6, 3:6, 3:6] = _HAT3
+
+# Taylor coefficients in t^2 of the six functions of the rotation angle t
+# that the closed forms use, in the order _coefficients returns them:
+# sin(t)/t, (1 - cos t)/t^2, (t - sin t)/t^3, 1/t^2 - (1 + cos t)/(2 t sin t),
+# (t^2 + 2 cos t - 2)/(2 t^4) and (2 t - 3 sin t + t cos t)/(2 t^5).
+_TAYLOR = np.array(
+    [
+        [1, -1 / 6, 1 / 120, -1 / 5040, 1 / 362880, -1 / 39916800, 1 / 6227020800],
+        [1 / 2, -1 / 24, 1 / 720, -1 / 40320, 1 / 3628800, -1 / 479001600, 1 / 87178291200],
+        [1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 6227020800, 1 / 1307674368000],
+        [1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160, 691 / 1307674368000, 1 / 74724249600],
+        [1 / 24, -1 / 720, 1 / 40320, -1 / 3628800, 1 / 479001600, -1 / 87178291200, 1 / 20922789888000],
+        [1 / 120, -1 / 2520, 1 / 120960, -1 / 9979200, 1 / 1245404160, -1 / 217945728000, 1 / 50812489728000],
+    ]
+)
+_TAYLOR_POWERS = 2.0 * np.arange(_TAYLOR.shape[1])
+
+
+def _closed_forms(t):
+    # Powers as products: numpy's scalar and array power differ in the last bit.
+    s, c, t2 = np.sin(t), np.cos(t), t * t
+    forms = [s / t, (1.0 - c) / t2, (t - s) / (t2 * t), 1.0 / t2 - (1.0 + c) / (2.0 * t * s)]
+    forms += [(t2 + 2.0 * c - 2.0) / (2.0 * t2 * t2), (2.0 * t - 3.0 * s + t * c) / (2.0 * t2 * t2 * t)]
+    return np.array(forms)
+
+
+def _coefficients(theta):
+    """The six functions of _TAYLOR at every angle in theta, as six arrays
+    of shape (..., 1, 1) that broadcast against stacked 3x3 matrices."""
+    theta = np.asarray(theta, dtype=float)
+    small = theta < TAYLOR_ANGLE
+    # The closed forms only see angles at or above the threshold.
+    out = None if small.all() else _closed_forms(np.maximum(theta, TAYLOR_ANGLE))
+    if out is None or small.any():
+        # Elementwise, so a stacked call repeats the unstacked one bit for bit.
+        taylor = np.moveaxis(np.sum(theta[..., None, None] ** _TAYLOR_POWERS * _TAYLOR, axis=-1), -1, 0)
+        out = taylor if out is None else np.where(small, taylor, out)
+    return out[..., None, None]
+
+
+def _angle(omega, check_branch: bool = False):
+    theta = np.sqrt((omega * omega).sum(axis=-1))
+    if check_branch and (theta >= np.pi - BRANCH_MARGIN).any():
+        raise ValueError("rotation angle too close to pi")
+    return theta
+
+
+def _apply(M, v):
+    """Stacked matrix-vector product M @ v over the leading axes."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _linear(x, generators):
+    x = np.asarray(x, dtype=float)
+    return (x @ generators.reshape(len(generators), -1)).reshape(x.shape[:-1] + generators.shape[1:])
+
 
 def hat3(v) -> np.ndarray:
     """3x3 skew matrix such that hat3(v) @ w == np.cross(v, w)."""
-    v = np.asarray(v, dtype=float)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    return _linear(v, _HAT3)
 
 
 def vee3(M) -> np.ndarray:
@@ -47,11 +104,7 @@ def vee3(M) -> np.ndarray:
 
 def hat6(x) -> np.ndarray:
     """4x4 se(3) matrix [[hat3(omega), nu], [0, 0]] of a twist [nu; omega]."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((4, 4))
-    out[:3, :3] = hat3(x[3:6])
-    out[:3, 3] = x[0:3]
-    return out
+    return _linear(x, _HAT6)
 
 
 def vee6(M) -> np.ndarray:
@@ -67,99 +120,77 @@ def vee6(M) -> np.ndarray:
 
 def curly_hat(x) -> np.ndarray:
     """6x6 adjoint-algebra matrix [[hat3(w), hat3(v)], [0, hat3(w)]]."""
-    x = np.asarray(x, dtype=float)
-    W = hat3(x[3:6])
-    out = np.zeros((6, 6))
-    out[:3, :3] = W
-    out[:3, 3:] = hat3(x[0:3])
-    out[3:, 3:] = W
-    return out
+    return _linear(x, _CURLY)
+
+
+def _so3_series(W, first, second):
+    """I + first * W + second * W @ W, the form of every SO(3) closed form."""
+    return np.eye(3) + first * W + second * (W @ W)
 
 
 def exp_so3(phi) -> np.ndarray:
     """Rodrigues rotation matrix for a rotation vector."""
     phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    W = hat3(phi)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + W + 0.5 * (W @ W)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * W + b * (W @ W)
+    sin1, cos2 = _coefficients(_angle(phi))[0:2]
+    return _so3_series(hat3(phi), sin1, cos2)
 
 
 def log_so3(C) -> np.ndarray:
     """Rotation vector of C on the principal branch (angle < pi)."""
     C = np.asarray(C, dtype=float)
-    cos_theta = np.clip((np.trace(C) - 1.0) / 2.0, -1.0, 1.0)
+    cos_theta = np.clip((np.trace(C, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     theta = np.arccos(cos_theta)
-    if theta >= np.pi - BRANCH_MARGIN:
+    if (theta >= np.pi - BRANCH_MARGIN).any():
         raise ValueError("rotation angle too close to pi for the principal branch")
-    if theta < SMALL_ANGLE:
-        # First-order: C ~ I + hat3(phi).
-        return vee3(0.5 * (C - C.T))
-    return vee3(theta / (2.0 * np.sin(theta)) * (C - C.T))
+    # theta / (2 sin(theta)) has no cancellation; only theta = 0 needs its limit.
+    half = np.where(theta > 0.0, theta / (2.0 * np.sin(np.where(theta > 0.0, theta, 1.0))), 0.5)
+    A = C - np.swapaxes(C, -1, -2)
+    return half[..., None] * A[..., [2, 0, 1], [1, 2, 0]]
 
 
 def jac_so3(phi) -> np.ndarray:
     """Left Jacobian of SO(3)."""
     phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    W = hat3(phi)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * W + (W @ W) / 6.0
-    a = (1.0 - np.cos(theta)) / theta**2
-    b = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + a * W + b * (W @ W)
+    cos2, sin3 = _coefficients(_angle(phi))[1:3]
+    return _so3_series(hat3(phi), cos2, sin3)
 
 
 def jac_so3_inv(phi) -> np.ndarray:
     """Inverse left Jacobian of SO(3). Requires angle < pi."""
     phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    if theta >= np.pi - BRANCH_MARGIN:
-        raise ValueError("rotation angle too close to pi")
-    W = hat3(phi)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) - 0.5 * W + (W @ W) / 12.0
-    c = 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) - 0.5 * W + c * (W @ W)
+    inv2 = _coefficients(_angle(phi, check_branch=True))[3]
+    return _so3_series(hat3(phi), -0.5, inv2)
 
 
 def exp_se3(xi) -> np.ndarray:
     """Matrix exponential of hat6(xi) as a 4x4 pose."""
     xi = np.asarray(xi, dtype=float)
-    nu, omega = xi[0:3], xi[3:6]
-    T = np.eye(4)
-    T[:3, :3] = exp_so3(omega)
-    T[:3, 3] = jac_so3(omega) @ nu
-    return T
+    nu, omega = xi[..., 0:3], xi[..., 3:6]
+    W = hat3(omega)
+    sin1, cos2, sin3 = _coefficients(_angle(omega))[0:3]
+    return pose_from_parts(_so3_series(W, sin1, cos2), _apply(_so3_series(W, cos2, sin3), nu))
 
 
 def log_se3(T) -> np.ndarray:
     """Twist [nu; omega] with exp_se3(log_se3(T)) == T, principal branch."""
     T = np.asarray(T, dtype=float)
-    omega = log_so3(T[:3, :3])
-    nu = jac_so3_inv(omega) @ T[:3, 3]
-    return np.concatenate([nu, omega])
+    omega = log_so3(T[..., :3, :3])
+    nu = _apply(jac_so3_inv(omega), T[..., :3, 3])
+    return np.concatenate([nu, omega], axis=-1)
 
 
 def adjoint(T) -> np.ndarray:
     """6x6 adjoint [[C, hat3(r) C], [0, C]] of a pose."""
     T = np.asarray(T, dtype=float)
-    C = T[:3, :3]
-    out = np.zeros((6, 6))
-    out[:3, :3] = C
-    out[:3, 3:] = hat3(T[:3, 3]) @ C
-    out[3:, 3:] = C
-    return out
+    C = T[..., :3, :3]
+    return _block_upper(C, hat3(T[..., :3, 3]) @ C)
 
 
 def left_jacobian_series(xi, n_terms: int = 30) -> np.ndarray:
     """Truncated series sum_n curly_hat(xi)^n / (n+1)!.
 
-    Slow reference evaluator; the closed-form left_jacobian is checked
-    against it.
+    Slow reference evaluator for a single twist; the tests check the
+    closed-form left_jacobian and left_jacobian_inv against it.
     """
     A = curly_hat(xi)
     J = np.eye(6)
@@ -170,24 +201,26 @@ def left_jacobian_series(xi, n_terms: int = 30) -> np.ndarray:
     return J
 
 
-def _q_block(nu, omega) -> np.ndarray:
-    """Top-right block of the closed-form SE(3) left Jacobian."""
-    theta = np.linalg.norm(omega)
-    V = hat3(nu)
-    W = hat3(omega)
-    WV = W @ V
-    VW = V @ W
+def _block_upper(A, B):
+    """6x6 matrices [[A, B], [0, A]] from stacked 3x3 blocks."""
+    out = np.zeros(A.shape[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = A
+    out[..., :3, 3:] = B
+    return out
+
+
+def _jacobian_blocks(xi):
+    """hat3(omega), the angle coefficients, and Barfoot's closed-form
+    translational block Q of the SE(3) left Jacobian. Q's coefficients share
+    the Taylor switch, so Q is exact to machine precision below pi."""
+    xi = np.asarray(xi, dtype=float)
+    W, V = hat3(xi[..., 3:6]), hat3(xi[..., 0:3])
+    coeffs = _coefficients(_angle(xi[..., 3:6], check_branch=True))
+    _, _, sin3, _, cos4, sin5 = coeffs
+    WV, VW = W @ V, V @ W
     WVW = WV @ W
-    c1 = (theta - np.sin(theta)) / theta**3
-    m2 = (1.0 - theta**2 / 2.0 - np.cos(theta)) / theta**4
-    m3 = (theta - np.sin(theta) - theta**3 / 6.0) / theta**5
-    c3 = -0.5 * (m2 - 3.0 * m3)
-    return (
-        0.5 * V
-        + c1 * (WV + VW + W @ VW)
-        - m2 * (W @ WV + VW @ W - 3.0 * WVW)
-        + c3 * (WVW @ W + W @ WVW)
-    )
+    Q = 0.5 * V + sin3 * (WV + VW + WVW) + cos4 * (W @ WV + VW @ W - 3.0 * WVW)
+    return W, coeffs, Q + sin5 * (WVW @ W + W @ WVW)
 
 
 def left_jacobian(xi) -> np.ndarray:
@@ -195,44 +228,21 @@ def left_jacobian(xi) -> np.ndarray:
 
     Requires the rotation angle to be below pi.
     """
-    xi = np.asarray(xi, dtype=float)
-    nu, omega = xi[0:3], xi[3:6]
-    theta = np.linalg.norm(omega)
-    if theta >= np.pi - BRANCH_MARGIN:
-        raise ValueError("rotation angle too close to pi")
-    if theta < SERIES_ANGLE:
-        # curly_hat(xi) is near-nilpotent here; the series is exact to
-        # machine precision independent of the translation magnitude.
-        return left_jacobian_series(xi, n_terms=20)
-    Jr = jac_so3(omega)
-    out = np.zeros((6, 6))
-    out[:3, :3] = Jr
-    out[3:, 3:] = Jr
-    out[:3, 3:] = _q_block(nu, omega)
-    return out
+    W, coeffs, Q = _jacobian_blocks(xi)
+    return _block_upper(_so3_series(W, coeffs[1], coeffs[2]), Q)
 
 
 def left_jacobian_inv(xi) -> np.ndarray:
     """Inverse of left_jacobian, evaluated in closed form."""
-    xi = np.asarray(xi, dtype=float)
-    nu, omega = xi[0:3], xi[3:6]
-    theta = np.linalg.norm(omega)
-    if theta >= np.pi - BRANCH_MARGIN:
-        raise ValueError("rotation angle too close to pi")
-    if theta < SERIES_ANGLE:
-        return np.linalg.inv(left_jacobian_series(xi, n_terms=20))
-    Ji = jac_so3_inv(omega)
-    out = np.zeros((6, 6))
-    out[:3, :3] = Ji
-    out[3:, 3:] = Ji
-    out[:3, 3:] = -Ji @ _q_block(nu, omega) @ Ji
-    return out
+    W, coeffs, Q = _jacobian_blocks(xi)
+    Ji = _so3_series(W, -0.5, coeffs[3])
+    return _block_upper(Ji, -Ji @ Q @ Ji)
 
 
 def pose_from_parts(C, r) -> np.ndarray:
-    T = np.eye(4)
-    T[:3, :3] = np.asarray(C, dtype=float)
-    T[:3, 3] = np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float)
+    T = np.zeros(r.shape[:-1] + (4, 4))
+    T[..., :3, :3], T[..., :3, 3], T[..., 3, 3] = C, r, 1.0
     return T
 
 
@@ -247,11 +257,8 @@ def translation(T) -> np.ndarray:
 def pose_inverse(T) -> np.ndarray:
     """Inverse using the orthogonality of the rotation block."""
     T = np.asarray(T, dtype=float)
-    C = T[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = C.T
-    out[:3, 3] = -C.T @ T[:3, 3]
-    return out
+    Ct = np.swapaxes(T[..., :3, :3], -1, -2)
+    return pose_from_parts(Ct, -_apply(Ct, T[..., :3, 3]))
 
 
 def check_pose(T, tol: float = 1e-9) -> np.ndarray:
@@ -272,7 +279,7 @@ def check_pose(T, tol: float = 1e-9) -> np.ndarray:
 
 
 def rotation_angle_deg(C_a, C_b) -> float:
-    """Angle in degrees between two rotation matrices."""
-    R = np.asarray(C_a, dtype=float) @ np.asarray(C_b, dtype=float).T
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.degrees(np.arccos(cos_theta)))
+    """Angle in degrees between two rotation matrices, or stacks of them."""
+    R = np.asarray(C_a, dtype=float) @ np.swapaxes(np.asarray(C_b, dtype=float), -1, -2)
+    cos_theta = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    return np.degrees(np.arccos(cos_theta))

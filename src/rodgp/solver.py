@@ -18,7 +18,8 @@ import numpy as np
 
 from . import measurements as meas_mod
 from . import se3
-from .prior import PriorHyperparams, StateNode, prior_error, prior_error_jacobian, process_cov_inv, validate_grid
+from .prior import PriorHyperparams, StateNode, prior_error, prior_error_jacobian, process_cov_inv
+from .prior import stack_nodes, validate_grid
 
 # Measurement arclengths must coincide with grid nodes within this tolerance.
 NODE_MATCH_TOL = 1e-9
@@ -45,6 +46,17 @@ def default_locks(
     if translational_strains:
         locks[:, 6:9] = True
     return locks
+
+
+def _stack_measurements(measurements, node_index, kind):
+    """Node indices, measured values, and R^-1 on the masked components
+    embedded in 6x6 zeros, of every measurement of one kind, as arrays."""
+    picked = [(m, k) for m, k in zip(measurements, node_index) if isinstance(m, kind)]
+    info = np.zeros((len(picked), 6, 6))
+    for i, (m, _) in enumerate(picked):
+        info[i][np.ix_(m.mask, m.mask)] = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
+    values = [m.T_meas if kind is meas_mod.PoseMeasurement else m.eps_meas for m, _ in picked]
+    return np.array([k for _, k in picked], dtype=int), np.array(values), info
 
 
 @dataclass
@@ -76,6 +88,10 @@ class Problem:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         self.meas_node = [self._node_index(m.s) for m in self.measurements]
+        self.pose_stack, self.strain_stack = (
+            _stack_measurements(self.measurements, self.meas_node, kind)
+            for kind in (meas_mod.PoseMeasurement, meas_mod.StrainMeasurement)
+        )
 
     def _node_index(self, s: float) -> int:
         k = int(np.argmin(np.abs(self.grid - s)))
@@ -84,20 +100,59 @@ class Problem:
         return k
 
 
-def total_cost(problem: Problem, nodes) -> float:
-    """Prior plus measurement cost at the given operating point."""
-    cost = 0.0
-    for k in range(1, problem.grid.size):
-        e = prior_error(nodes[k - 1], nodes[k])
-        Qi = process_cov_inv(problem.grid[k] - problem.grid[k - 1], problem.hyper)
-        cost += 0.5 * float(e @ Qi @ e)
-    for m, k in zip(problem.measurements, problem.meas_node):
-        if isinstance(m, meas_mod.PoseMeasurement):
-            e = meas_mod.pose_error(m, nodes[k].T)
+def linearize(problem: Problem, T, eps):
+    """Normal equations without locks, and the cost, at the operating point.
+
+    One stacked pass over all intervals and measurements at poses T (n, 4, 4)
+    and strains eps (n, 6). Returns (H_diag, H_off, b, cost): the (n, 12, 12)
+    diagonal blocks, the (n - 1, 12, 12) blocks coupling nodes k and k + 1,
+    minus the gradient (n, 12), and the prior plus measurement cost.
+    """
+    grid, n = problem.grid, problem.grid.size
+    prev = StateNode(grid[:-1], T[:-1], eps[:-1])
+    cur = StateNode(grid[1:], T[1:], eps[1:])
+    e = prior_error(prev, cur)
+    E = prior_error_jacobian(prev, cur)
+    Qi = process_cov_inv(np.diff(grid), problem.hyper)
+    Qi_e = np.einsum("kij,kj->ki", Qi, e)
+    A = np.einsum("kai,kab,kbj->kij", E, Qi, E, optimize=True)
+    g = np.einsum("kai,ka->ki", E, Qi_e)
+    H_diag = np.zeros((n, 12, 12))
+    H_diag[:-1] += A[:, 0:12, 0:12]
+    H_diag[1:] += A[:, 12:24, 12:24]
+    b = np.zeros((n, 12))
+    b[:-1] -= g[:, 0:12]
+    b[1:] -= g[:, 12:24]
+    cost = 0.5 * float(np.sum(e * Qi_e))
+
+    # Measurement factors; R^-1 is embedded so masked-out rows weigh zero.
+    for (node, value, info), kind in ((problem.pose_stack, "pose"), (problem.strain_stack, "strain")):
+        if node.size == 0:
+            continue
+        E = np.zeros((node.size, 6, 12))
+        if kind == "pose":
+            e, E[:, :, 0:6] = meas_mod.pose_residual(value, T[node])
         else:
-            e = meas_mod.strain_error(m, nodes[k].eps)
-        cost += meas_mod.measurement_cost(e, m.R, m.mask)
-    return cost
+            e, E[:, :, 6:12] = value - eps[node], -np.eye(6)
+        info_e = np.einsum("mij,mj->mi", info, e)
+        np.add.at(H_diag, node, np.einsum("mai,mab,mbj->mij", E, info, E))
+        np.add.at(b, node, -np.einsum("mai,ma->mi", E, info_e))
+        cost += 0.5 * float(np.sum(e * info_e))
+    return H_diag, A[:, 0:12, 12:24], b, cost
+
+
+def _reduce(locks, H_diag, H_off, b):
+    """Delete the locked rows and columns from full normal equations."""
+    free = [np.flatnonzero(~row) for row in locks]
+    n = len(free)
+
+    def block(M, rows, cols):
+        return M if rows.size == cols.size == 12 else M[np.ix_(rows, cols)]
+
+    diag = [block(H_diag[k], free[k], free[k]) for k in range(n)]
+    off = [block(H_off[k], free[k], free[k + 1]) for k in range(n - 1)]
+    rhs = [b[k][free[k]] for k in range(n)]
+    return diag, off, rhs, free
 
 
 def assemble(problem: Problem, nodes):
@@ -107,40 +162,9 @@ def assemble(problem: Problem, nodes):
     block, off[k] couples nodes k and k+1, rhs is -gradient, and free[k]
     holds the unlocked dimension indices of node k.
     """
-    n = problem.grid.size
-    H_diag = [np.zeros((12, 12)) for _ in range(n)]
-    H_off = [np.zeros((12, 12)) for _ in range(n - 1)]
-    b = [np.zeros(12) for _ in range(n)]
-
-    for k in range(1, n):
-        e = prior_error(nodes[k - 1], nodes[k])
-        E = prior_error_jacobian(nodes[k - 1], nodes[k])
-        Qi = process_cov_inv(problem.grid[k] - problem.grid[k - 1], problem.hyper)
-        E1, E2 = E[:, 0:12], E[:, 12:24]
-        W1, W2 = Qi @ E1, Qi @ E2
-        H_diag[k - 1] += E1.T @ W1
-        H_diag[k] += E2.T @ W2
-        H_off[k - 1] += E1.T @ W2
-        b[k - 1] -= E1.T @ (Qi @ e)
-        b[k] -= E2.T @ (Qi @ e)
-
-    for m, k in zip(problem.measurements, problem.meas_node):
-        if isinstance(m, meas_mod.PoseMeasurement):
-            e = meas_mod.pose_error(m, nodes[k].T)
-            E = meas_mod.pose_error_jacobian(m, nodes[k].T)
-        else:
-            e = meas_mod.strain_error(m, nodes[k].eps)
-            E = meas_mod.strain_error_jacobian(m)
-        R_sub = m.R[np.ix_(m.mask, m.mask)]
-        W = np.linalg.solve(R_sub, np.column_stack([E, e]))
-        H_diag[k] += E.T @ W[:, :12]
-        b[k] -= E.T @ W[:, 12]
-
-    free = [np.flatnonzero(~problem.locks[k]) for k in range(n)]
-    diag = [H_diag[k][np.ix_(free[k], free[k])] for k in range(n)]
-    off = [H_off[k][np.ix_(free[k], free[k + 1])] for k in range(n - 1)]
-    rhs = [b[k][free[k]] for k in range(n)]
-    return diag, off, rhs, free
+    stack = stack_nodes(nodes)
+    H_diag, H_off, b, _ = linearize(problem, stack.T, stack.eps)
+    return _reduce(problem.locks, H_diag, H_off, b)
 
 
 def block_tridiag_cholesky(diag, off):
@@ -210,15 +234,14 @@ class Solution:
     """Converged estimate with marginal covariances and factor data."""
 
     nodes: list
-    marginal_covs: list
-    joint_covs: list
+    marginal_covs: np.ndarray
+    joint_covs: np.ndarray
     cost_history: list
     iterations: int
     converged: bool
     problem: Problem = field(repr=False)
     chol_L: list = field(repr=False, default=None)
     chol_C: list = field(repr=False, default=None)
-    free: list = field(repr=False, default=None)
 
     @property
     def grid(self) -> np.ndarray:
@@ -229,24 +252,15 @@ class Solution:
         return self.problem.hyper
 
 
-def _embed_covariances(P_diag, P_off, free, n):
-    """Scatter reduced covariance blocks back to full 12-dim node blocks."""
-    marg = []
-    for k in range(n):
-        M = np.zeros((12, 12))
-        M[np.ix_(free[k], free[k])] = P_diag[k]
-        marg.append(M)
-    joints = []
-    for k in range(n - 1):
-        J = np.zeros((24, 24))
-        J[0:12, 0:12] = marg[k]
-        J[12:24, 12:24] = marg[k + 1]
-        off_full = np.zeros((12, 12))
-        off_full[np.ix_(free[k], free[k + 1])] = P_off[k]
-        J[0:12, 12:24] = off_full
-        J[12:24, 0:12] = off_full.T
-        joints.append(J)
-    return marg, joints
+def _embed_covariances(P_diag, P_off, locks):
+    """Scatter reduced covariance blocks back to full 12-dim node blocks:
+    (n, 12, 12) marginals and (n - 1, 24, 24) joints of adjacent nodes."""
+    free = ~locks
+    marg = np.zeros((len(free), 12, 12))
+    marg[free[:, :, None] & free[:, None, :]] = np.concatenate([P.ravel() for P in P_diag])
+    off = np.zeros((len(free) - 1, 12, 12))
+    off[free[:-1, :, None] & free[1:, None, :]] = np.concatenate([P.ravel() for P in P_off])
+    return marg, np.block([[marg[:-1], off], [np.swapaxes(off, -1, -2), marg[1:]]])
 
 
 def gauss_newton(problem: Problem) -> Solution:
@@ -256,47 +270,41 @@ def gauss_newton(problem: Problem) -> Solution:
     problem.step_tol. A cost increase along the way flags the run as not
     converged even if the step criterion is met later.
     """
-    nodes = [node.copy() for node in problem.initial_guess]
-    cost_history = [total_cost(problem, nodes)]
+    x = stack_nodes(problem.initial_guess)
+    system = linearize(problem, x.T, x.eps)
+    cost_history = [system[3]]
     converged = False
     monotone = True
     iterations = 0
 
     for _ in range(problem.max_iters):
-        diag, off, rhs, free = assemble(problem, nodes)
+        diag, off, rhs, free = _reduce(problem.locks, *system[:3])
         L, C = block_tridiag_cholesky(diag, off)
-        delta = block_tridiag_solve_factored(L, C, rhs)
-        step = 0.0
-        for k, node in enumerate(nodes):
-            full = np.zeros(12)
-            full[free[k]] = delta[k]
-            node.T = se3.exp_se3(full[0:6]) @ node.T
-            node.eps = node.eps + full[6:12]
-            if delta[k].size:
-                step = max(step, float(np.max(np.abs(delta[k]))))
+        full = np.zeros((len(free), 12))
+        full[~problem.locks] = np.concatenate(block_tridiag_solve_factored(L, C, rhs))
+        x.T = se3.exp_se3(full[:, 0:6]) @ x.T
+        x.eps = x.eps + full[:, 6:12]
         iterations += 1
-        cost = total_cost(problem, nodes)
+        # The pass that linearises the new nodes also prices them.
+        system = linearize(problem, x.T, x.eps)
         # The slack absorbs cost-evaluation noise from exp/log roundtrips
         # near convergence; genuine overshoots are orders larger.
-        if cost > cost_history[-1] * (1.0 + 1e-6) + 1e-12:
+        if system[3] > cost_history[-1] * (1.0 + 1e-6) + 1e-12:
             monotone = False
-        cost_history.append(cost)
-        if step < problem.step_tol:
+        cost_history.append(system[3])
+        if np.max(np.abs(full)) < problem.step_tol:
             converged = True
             break
 
-    converged = converged and monotone
-    return _finalize(problem, nodes, cost_history, iterations, converged)
+    return _finalize(problem, x, system, cost_history, iterations, converged and monotone)
 
 
-def _finalize(problem, nodes, cost_history, iterations, converged) -> Solution:
-    """Factor the system at the given nodes and package the Solution."""
-    diag, off, _, free = assemble(problem, nodes)
-    L, C = block_tridiag_cholesky(diag, off)
-    P_diag, P_off = block_tridiag_marginals(L, C)
-    marg, joints = _embed_covariances(P_diag, P_off, free, problem.grid.size)
+def _finalize(problem, x, system, cost_history, iterations, converged) -> Solution:
+    """Factor the system linearised at the stacked nodes x and package the Solution."""
+    L, C = block_tridiag_cholesky(*_reduce(problem.locks, *system[:3])[:2])
+    marg, joints = _embed_covariances(*block_tridiag_marginals(L, C), problem.locks)
     return Solution(
-        nodes=nodes,
+        nodes=[StateNode(node.s, T, eps) for node, T, eps in zip(problem.initial_guess, x.T, x.eps)],
         marginal_covs=marg,
         joint_covs=joints,
         cost_history=cost_history,
@@ -305,7 +313,6 @@ def _finalize(problem, nodes, cost_history, iterations, converged) -> Solution:
         problem=problem,
         chol_L=L,
         chol_C=C,
-        free=free,
     )
 
 
@@ -315,8 +322,9 @@ def factorize(problem: Problem) -> Solution:
     Rebuilds covariance factors at an already-converged estimate, e.g.
     one loaded back from a result file for posterior sampling.
     """
-    nodes = [node.copy() for node in problem.initial_guess]
-    return _finalize(problem, nodes, [total_cost(problem, nodes)], 0, True)
+    x = stack_nodes(problem.initial_guess)
+    system = linearize(problem, x.T, x.eps)
+    return _finalize(problem, x, system, [system[3]], 0, True)
 
 
 def sample_posterior(solution: Solution, count: int, rng):
@@ -327,8 +335,9 @@ def sample_posterior(solution: Solution, count: int, rng):
     Locked dimensions stay at their estimates.
     """
     rng = np.random.default_rng(rng)
-    L, C, free = solution.chol_L, solution.chol_C, solution.free
+    L, C = solution.chol_L, solution.chol_C
     n = len(L)
+    nodes = stack_nodes(solution.nodes)
     samples = []
     for _ in range(count):
         y = [None] * n
@@ -337,12 +346,8 @@ def sample_posterior(solution: Solution, count: int, rng):
             if k < n - 1:
                 z = z - C[k].T @ y[k + 1]
             y[k] = np.linalg.solve(L[k].T, z)
-        sample = []
-        for k, node in enumerate(solution.nodes):
-            full = np.zeros(12)
-            full[free[k]] = y[k]
-            sample.append(
-                StateNode(node.s, se3.exp_se3(full[0:6]) @ node.T, node.eps + full[6:12])
-            )
-        samples.append(sample)
+        full = np.zeros((n, 12))
+        full[~solution.problem.locks] = np.concatenate(y)
+        T = se3.exp_se3(full[:, 0:6]) @ nodes.T
+        samples.append([StateNode(s, T[k], nodes.eps[k] + full[k, 6:12]) for k, s in enumerate(nodes.s)])
     return samples

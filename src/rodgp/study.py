@@ -15,7 +15,7 @@ import numpy as np
 
 from . import interpolation, rodsim, se3, solver
 from .measurements import PoseMeasurement, pose_error, strain_error
-from .prior import PriorHyperparams, StateNode, uniform_grid
+from .prior import PriorHyperparams, StateNode, stack_nodes, uniform_grid
 from .rodsim import MeasurementNoise, Scenario
 
 # Measurement arclengths closer than this to an existing node reuse it
@@ -70,9 +70,9 @@ class ScenarioConfig:
 
 
 def pose_errors(estimate: StateNode, truth: StateNode) -> tuple:
-    """Translation distance in metres and rotation angle in degrees."""
-    dp = float(np.linalg.norm(estimate.T[:3, 3] - truth.T[:3, 3]))
-    return dp, se3.rotation_angle_deg(estimate.T[:3, :3], truth.T[:3, :3])
+    """Translation distance in metres and rotation angle in degrees, per node."""
+    dp = np.linalg.norm(estimate.T[..., :3, 3] - truth.T[..., :3, 3], axis=-1)
+    return dp, se3.rotation_angle_deg(estimate.T[..., :3, :3], truth.T[..., :3, :3])
 
 
 def estimation_grid(total_length, num_intervals, measurement_arclengths):
@@ -86,19 +86,14 @@ def estimation_grid(total_length, num_intervals, measurement_arclengths):
 
 def straight_guess(grid, hyper: PriorHyperparams) -> list:
     """Constant-strain rollout of the prior mean from the identity pose."""
-    return [
-        StateNode(float(s), se3.exp_se3(s * hyper.eps_bar), hyper.eps_bar.copy())
-        for s in grid
-    ]
+    poses = se3.exp_se3(np.asarray(grid, dtype=float)[:, None] * hyper.eps_bar)
+    return [StateNode(float(s), T, hyper.eps_bar.copy()) for s, T in zip(grid, poses)]
 
 
 def model_guess(grid, shape: rodsim.GroundTruthShape) -> list:
     """Initial guess read off a simulated shape at the grid arclengths."""
-    out = []
-    for s in grid:
-        state = shape.state_at(s)
-        out.append(StateNode(float(s), state.T.copy(), state.eps.copy()))
-    return out
+    states = [shape.state_at(s) for s in grid]
+    return [StateNode(float(s), state.T, state.eps) for s, state in zip(grid, states)]
 
 
 def query_points(grid, per_interval: int):
@@ -107,17 +102,10 @@ def query_points(grid, per_interval: int):
     Returns (arclengths, is_node) with n_nodes + per_interval*(n_nodes-1)
     entries in ascending order.
     """
-    taus, is_node = [], []
-    for k in range(grid.size - 1):
-        taus.append(float(grid[k]))
-        is_node.append(True)
-        ds = grid[k + 1] - grid[k]
-        for i in range(1, per_interval + 1):
-            taus.append(float(grid[k] + ds * i / (per_interval + 1)))
-            is_node.append(False)
-    taus.append(float(grid[-1]))
-    is_node.append(True)
-    return np.array(taus), np.array(is_node)
+    i = np.arange(per_interval + 1)
+    taus = grid[:-1, None] + np.diff(grid)[:, None] * i / (per_interval + 1)
+    is_node = np.broadcast_to(i == 0, taus.shape)
+    return np.append(taus.ravel(), grid[-1]), np.append(is_node.ravel(), True)
 
 
 @dataclass
@@ -129,7 +117,7 @@ class EstimateRecord:
     arclengths: np.ndarray
     is_node: np.ndarray
     states: list
-    covs: list
+    covs: np.ndarray
     truth: list
     pos_err: np.ndarray
     ang_err: np.ndarray
@@ -162,6 +150,13 @@ class StudyResult:
     failures: list = field(default_factory=list)
 
 
+def _problem(config: ScenarioConfig, grid, measurements, initial_guess) -> solver.Problem:
+    locks = config.locks(grid.size)
+    return solver.Problem(
+        grid, config.hyperparams(), measurements, initial_guess, locks, config.max_iters, config.step_tol
+    )
+
+
 def run_single(
     props, shape, measurements, config: ScenarioConfig, initial_guess=None
 ) -> EstimateRecord:
@@ -172,21 +167,11 @@ def run_single(
     )
     if initial_guess is None:
         initial_guess = straight_guess(grid, hyper)
-    problem = solver.Problem(
-        grid,
-        hyper,
-        measurements,
-        initial_guess,
-        locks=config.locks(grid.size),
-        max_iters=config.max_iters,
-        step_tol=config.step_tol,
-    )
-    solution = solver.gauss_newton(problem)
+    solution = solver.gauss_newton(_problem(config, grid, measurements, initial_guess))
     taus, is_node = query_points(grid, config.states_per_interval)
-    states = [interpolation.query_state(solution, t) for t in taus]
-    covs = [interpolation.query_cov(solution, t) for t in taus]
+    states, covs = interpolation.query(solution, taus)
     truth = [shape.state_at(t) for t in taus]
-    errors = [pose_errors(e, t) for e, t in zip(states, truth)]
+    pos_err, ang_err = pose_errors(stack_nodes(states), stack_nodes(truth))
     return EstimateRecord(
         index=-1,
         solution=solution,
@@ -195,8 +180,8 @@ def run_single(
         states=states,
         covs=covs,
         truth=truth,
-        pos_err=np.array([e[0] for e in errors]),
-        ang_err=np.array([e[1] for e in errors]),
+        pos_err=pos_err,
+        ang_err=ang_err,
     )
 
 
@@ -328,18 +313,10 @@ def initial_guess_study(props, actuation, config: ScenarioConfig) -> InitialGues
     grid = estimation_grid(
         props.total_length, config.num_intervals, [m.s for m in measurements]
     )
-    solutions = []
-    for guess in (straight_guess(grid, hyper), model_guess(grid, shape)):
-        problem = solver.Problem(
-            grid,
-            hyper,
-            measurements,
-            guess,
-            locks=config.locks(grid.size),
-            max_iters=config.max_iters,
-            step_tol=config.step_tol,
-        )
-        solutions.append(solver.gauss_newton(problem))
+    solutions = [
+        solver.gauss_newton(_problem(config, grid, measurements, guess))
+        for guess in (straight_guess(grid, hyper), model_guess(grid, shape))
+    ]
     tip_truth = shape.state_at(props.total_length)
     return InitialGuessReport(
         straight=solutions[0],

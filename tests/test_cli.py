@@ -305,3 +305,26 @@ def test_evaluate_reports_failures(workdir, capsys):
     )
     assert code == cli.EXIT_NO_CONVERGENCE
     assert "every run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["simulate", "--config", "config.json", "--count", "0", "--out", "x.json"], "--count"),
+        (
+            ["simulate", "--config", "config.json", "--count", "2", "--loaded-fraction", "1.5", "--out", "x.json"],
+            "--loaded-fraction",
+        ),
+        (["sample-prior", "--config", "config.json", "--count", "-1", "--out", "x.json"], "--count"),
+        (["sample-posterior", "--solution", "est.json", "--count", "-1", "--out", "x.json"], "--count"),
+    ],
+)
+def test_out_of_range_arguments_exit_2_with_one_line(workdir, capsys, argv, option):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"error: argument {option}:" in err
+    assert not (workdir / "x.json").exists()

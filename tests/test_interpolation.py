@@ -159,3 +159,28 @@ def test_inserted_node_close_to_interpolant(props, small_dataset):
         assert np.abs(state.eps - node2.eps).max() < 5e-3
         rel = np.abs(cov - cov2).max() / np.abs(cov2).max()
         assert rel < 5e-3
+
+
+def test_one_call_query_equals_single_queries(props, small_dataset):
+    _, shape = small_dataset[1]
+    sol = solver.gauss_newton(scenario_problem(props, shape))
+    taus, is_node = study.query_points(sol.grid, 5)
+    # More queries than one evaluation chunk, in an order that mixes intervals.
+    assert taus.size > interp.QUERY_CHUNK
+    order = np.random.default_rng(5).permutation(taus.size)
+    states, covs = interp.query(sol, taus[order])
+    assert len(states) == taus.size and covs.shape == (taus.size, 12, 12)
+    for state, cov, tau, node in zip(states, covs, taus[order], is_node[order]):
+        single = interp.query_state(sol, float(tau))
+        assert state.s == single.s == tau
+        if node:
+            k = int(np.argmin(np.abs(sol.grid - tau)))
+            np.testing.assert_array_equal(state.T, sol.nodes[k].T)
+            np.testing.assert_array_equal(state.eps, sol.nodes[k].eps)
+            np.testing.assert_array_equal(cov, sol.marginal_covs[k])
+        np.testing.assert_allclose(state.T, single.T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(state.eps, single.eps, rtol=1e-14, atol=1e-15)
+        single_cov = interp.query_cov(sol, float(tau))
+        np.testing.assert_allclose(cov, single_cov, rtol=0, atol=1e-14 * np.abs(single_cov).max())
+    with pytest.raises(ValueError):
+        interp.query(sol, np.array([0.1, sol.grid[-1] + 1e-3]))

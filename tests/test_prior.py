@@ -245,3 +245,49 @@ def test_sample_prior_long_rod_lateral_spread():
     tips = np.array([nodes[-1].T[:3, 3] for nodes in samples])
     spread = tips.std(axis=0)
     assert spread[1] > 1.0 and spread[2] > 1.0
+
+
+def random_chain(gen, n):
+    """n nodes on increasing arclengths, each a small random step from the last."""
+    s = np.cumsum(gen.uniform(0.005, 0.02, n))
+    nodes = [StateNode(s[0], random_pose(gen, 0.5), gen.uniform(-0.5, 0.5, 6))]
+    for k in range(1, n):
+        step = np.concatenate([gen.uniform(-0.02, 0.02, 3), gen.uniform(-0.4, 0.4, 3)])
+        nodes.append(StateNode(s[k], se3.exp_se3(step) @ nodes[-1].T, gen.uniform(-0.5, 0.5, 6)))
+    return nodes
+
+
+def test_stacked_prior_terms_equal_unstacked_rows():
+    nodes = random_chain(np.random.default_rng(11), 12)
+    chain = prior.stack_nodes(nodes)
+    prev = StateNode(chain.s[:-1], chain.T[:-1], chain.eps[:-1])
+    cur = StateNode(chain.s[1:], chain.T[1:], chain.eps[1:])
+    errors = prior.prior_error(prev, cur)
+    jacobians = prior.prior_error_jacobian(prev, cur)
+    assert errors.shape == (11, 12) and jacobians.shape == (11, 12, 24)
+    for k in range(11):
+        np.testing.assert_allclose(
+            errors[k], prior.prior_error(nodes[k], nodes[k + 1]), rtol=1e-14, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            jacobians[k], prior.prior_error_jacobian(nodes[k], nodes[k + 1]), rtol=1e-14, atol=1e-15
+        )
+
+
+def test_stacked_interval_matrices_equal_unstacked():
+    ds = np.array([0.01, 0.2, 1.5])
+    for fn in (prior.process_cov, prior.process_cov_inv):
+        stacked = fn(ds, HYPER)
+        for k in range(ds.size):
+            np.testing.assert_array_equal(stacked[k], fn(ds[k], HYPER))
+    with pytest.raises(ValueError):
+        prior.process_cov(np.array([0.1, 0.0]), HYPER)
+    stacked = prior.transition(ds + 1.0, np.ones(3))
+    for k in range(ds.size):
+        np.testing.assert_array_equal(stacked[k], prior.transition(ds[k] + 1.0, 1.0))
+    errors = np.random.default_rng(12).normal(size=(3, 12))
+    grid = np.concatenate([[0.0], np.cumsum(ds)])
+    looped = sum(
+        0.5 * e @ prior.process_cov_inv(d, HYPER) @ e for e, d in zip(errors, ds)
+    )
+    np.testing.assert_allclose(prior.prior_cost(errors, grid, HYPER), looped, rtol=1e-14)

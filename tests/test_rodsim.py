@@ -238,6 +238,16 @@ def test_ground_truth_shape_validation_and_lookup():
     assert shape.nearest_index(-1.0) == 0
 
 
+def test_ground_truth_arclengths_built_once():
+    shape = rodsim.solve_static(RodProperties.default(), single_tendon(1.0))
+    s = shape.arclengths
+    assert shape.arclengths is s
+    np.testing.assert_array_equal(s, [node.s for node in shape.nodes])
+    for tau in (0.0, 0.0701, 0.2, 0.28):
+        k = int(np.argmin(np.abs(s - tau)))
+        assert shape.state_at(tau) is shape.nodes[k]
+
+
 def test_sample_dataset_reproducible_and_bounded():
     props = RodProperties.default()
     with pytest.raises(ValueError):

@@ -198,3 +198,80 @@ def test_rotation_angle_deg():
     assert se3.rotation_angle_deg(np.eye(3), np.eye(3)) == 0.0
     np.testing.assert_allclose(se3.rotation_angle_deg(np.eye(3), C), 90.0, atol=1e-10)
     np.testing.assert_allclose(se3.rotation_angle_deg(C, np.eye(3)), 90.0, atol=1e-10)
+
+
+def test_log_exp_roundtrip_just_above_former_small_angle_cutoff():
+    # At theta = 1e-8, (1 - cos(theta)) / theta^2 used to round to 0 and
+    # drop the first-order term of exp's translation.
+    x = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1e-8])
+    np.testing.assert_allclose(se3.log_se3(se3.exp_se3(x)), x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(se3.exp_se3(x)[:3, 3], [-5e-9, 1.0, 0.0], rtol=0, atol=1e-16)
+
+
+def sweep_twists(gen, n_per_angle=3):
+    """Twists with unit-box translations over rotation angles 1e-10..1 rad,
+    including both sides of the Taylor threshold."""
+    angles = np.concatenate(
+        [np.logspace(-10, 0, 61), se3.TAYLOR_ANGLE * (1.0 + np.array([-1e-12, 0.0, 1e-12]))]
+    )
+    for theta in angles:
+        for _ in range(n_per_angle):
+            axis = gen.normal(size=3)
+            yield np.concatenate([gen.uniform(-1.0, 1.0, 3), theta * axis / np.linalg.norm(axis)])
+
+
+def test_jacobians_match_series_oracle_across_taylor_threshold():
+    gen = np.random.default_rng(7)
+    for x in sweep_twists(gen):
+        J_ref = se3.left_jacobian_series(x, 40)
+        np.testing.assert_allclose(se3.left_jacobian(x), J_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(se3.left_jacobian_inv(x) @ J_ref, np.eye(6), rtol=0, atol=1e-13)
+
+
+def test_log_exp_roundtrip_across_taylor_threshold():
+    gen = np.random.default_rng(8)
+    for x in sweep_twists(gen):
+        np.testing.assert_allclose(se3.exp_se3(x), scipy.linalg.expm(se3.hat6(x)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(se3.log_se3(se3.exp_se3(x)), x, rtol=0, atol=1e-13)
+
+
+TWIST_MAPS = [
+    se3.hat3,
+    se3.hat6,
+    se3.curly_hat,
+    se3.exp_so3,
+    se3.jac_so3,
+    se3.jac_so3_inv,
+    se3.exp_se3,
+    se3.left_jacobian,
+    se3.left_jacobian_inv,
+]
+POSE_MAPS = [se3.log_se3, se3.adjoint, se3.pose_inverse]
+
+
+@pytest.mark.parametrize("fn", TWIST_MAPS + POSE_MAPS, ids=lambda fn: fn.__name__)
+def test_stacked_call_equals_unstacked_rows(fn):
+    gen = np.random.default_rng(9)
+    # Rotation angles on both sides of the Taylor threshold, one of them zero.
+    X = gen.uniform(-1.0, 1.0, (12, 6))
+    X[:4, 3:] *= 1e-3
+    X[4, 3:] = 0.0
+    if fn in POSE_MAPS:
+        X = se3.exp_se3(X)
+    elif fn in (se3.hat3, se3.exp_so3, se3.jac_so3, se3.jac_so3_inv):
+        X = X[:, 3:]
+    stacked = fn(X)
+    for row, out in zip(X, stacked):
+        np.testing.assert_allclose(out, fn(row), rtol=1e-14, atol=1e-15)
+    # A (2, 6, ...) stack gives the same rows as the flat one.
+    np.testing.assert_array_equal(fn(X.reshape((2, 6) + X.shape[1:])).reshape(stacked.shape), stacked)
+    assert fn(X[:0]).shape == (0,) + stacked.shape[1:]
+
+
+def test_stacked_calls_check_the_branch_cut():
+    X = np.zeros((3, 6))
+    X[1, 3] = np.pi - 1e-8
+    with pytest.raises(ValueError):
+        se3.left_jacobian_inv(X)
+    with pytest.raises(ValueError):
+        se3.log_se3(se3.exp_se3(X))

@@ -351,3 +351,67 @@ def test_sample_posterior_covariance_matches_marginals():
         emp = np.cov(devs.T)
         ref = sol.marginal_covs[k]
         assert np.abs(emp - ref).max() < 0.05 * np.abs(ref).max()
+
+
+def looped_linearization(problem, nodes):
+    """Full normal-equation blocks and cost, one interval and one
+    measurement at a time through the scalar factor functions."""
+    from rodgp import measurements as meas
+
+    grid, n = problem.grid, problem.grid.size
+    H_diag, H_off, b = np.zeros((n, 12, 12)), np.zeros((n - 1, 12, 12)), np.zeros((n, 12))
+    cost = 0.0
+    for k in range(1, n):
+        e = prior.prior_error(nodes[k - 1], nodes[k])
+        E = prior.prior_error_jacobian(nodes[k - 1], nodes[k])
+        Qi = prior.process_cov_inv(grid[k] - grid[k - 1], problem.hyper)
+        E1, E2 = E[:, 0:12], E[:, 12:24]
+        H_diag[k - 1] += E1.T @ Qi @ E1
+        H_diag[k] += E2.T @ Qi @ E2
+        H_off[k - 1] += E1.T @ Qi @ E2
+        b[k - 1] -= E1.T @ Qi @ e
+        b[k] -= E2.T @ Qi @ e
+        cost += 0.5 * e @ Qi @ e
+    for m, k in zip(problem.measurements, problem.meas_node):
+        if isinstance(m, PoseMeasurement):
+            e, E = meas.pose_error(m, nodes[k].T), meas.pose_error_jacobian(m, nodes[k].T)
+        else:
+            e, E = meas.strain_error(m, nodes[k].eps), meas.strain_error_jacobian(m)
+        Ri = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
+        H_diag[k] += E.T @ Ri @ E
+        b[k] -= E.T @ Ri @ e
+        cost += meas.measurement_cost(e, m.R, m.mask)
+    return H_diag, H_off, b, cost
+
+
+def test_linearize_matches_looped_factors(props, small_dataset):
+    from rodgp import rodsim
+
+    _, shape = small_dataset[0]
+    config = study.ScenarioConfig(rodsim.Scenario.STRAIN_PLUS_TIP_POSE)
+    measurements = rodsim.extract_measurements(
+        shape, config.scenario, props, config.noise, np.random.default_rng(4)
+    )
+    hyper = config.hyperparams()
+    grid = study.estimation_grid(props.total_length, config.num_intervals, [m.s for m in measurements])
+    guess = study.straight_guess(grid, hyper)
+    problem = solver.Problem(grid, hyper, measurements, guess, config.locks(grid.size))
+    assert grid.size == 43
+    sol = solver.gauss_newton(problem)
+    midpoint = [
+        StateNode(
+            a.s,
+            se3.exp_se3(0.5 * se3.log_se3(b.T @ se3.pose_inverse(a.T))) @ a.T,
+            0.5 * (a.eps + b.eps),
+        )
+        for a, b in zip(guess, sol.nodes)
+    ]
+    for nodes in (guess, midpoint, sol.nodes):
+        stack = prior.stack_nodes(nodes)
+        fused = solver.linearize(problem, stack.T, stack.eps)
+        looped = looped_linearization(problem, nodes)
+        for got, ref in zip(fused[:3], looped[:3]):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(fused[3], looped[3], rtol=1e-12)
+    # Gauss-Newton prices each iterate with the pass that linearises it.
+    np.testing.assert_allclose(sol.cost_history[-1], looped[3], rtol=1e-12)
