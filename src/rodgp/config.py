@@ -115,9 +115,10 @@ class RunConfig:
             self.scenario()
             self.noise()
             self.scenario_config()
-        except (ValueError, KeyError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+        except ConfigError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            # TypeError: a value of the wrong JSON type, e.g. null or a scalar for a list.
             raise ConfigError(str(exc)) from exc
 
     def props(self) -> RodProperties:

@@ -11,6 +11,12 @@ which makes the boundary-value problem a 6-dimensional shoot.
 
 Kinematics use the same left-increment convention as the estimator:
 dT/ds = hat6(eps) T, so simulated strains feed the prior directly.
+
+One fixed-step RK4 integrates the transported stress for a stack of base
+values. Newton shooting runs it without poses on its finite-difference
+and line-search rows at a coarse resolution; the dense shape runs it on a
+single row at the requested resolution and carries the pose along with
+the same stage strains.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ MAX_SHOOTING_ITERATIONS = 50
 # Finite-difference step for the shooting Jacobian.
 SHOOTING_FD_STEP = 1e-7
 MIN_STEPS_PER_SEGMENT = 200
-# Newton iterations shoot at this resolution before polishing at the
-# requested one; RK4 truncation error here is still well under the tol.
+# Newton iterations shoot at this resolution; the dense shape at the
+# requested one is polished only if its tip misses SHOOTING_TOL, since RK4
+# truncation error here is still well under the tol.
 COARSE_SHOOTING_STEPS = 128
 # Undeformed rod: unit stretch along the local x axis, no shear or curvature.
 REST_STRAIN = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -214,6 +221,62 @@ def _active_tendon_stress(wrenches, s: float) -> np.ndarray:
     return total
 
 
+def _rounded_steps(props: RodProperties, steps_per_segment: int) -> int:
+    """Steps per segment, rounded up so disk arclengths land on samples."""
+    if steps_per_segment < MIN_STEPS_PER_SEGMENT:
+        raise ValueError(f"need at least {MIN_STEPS_PER_SEGMENT} steps per segment")
+    disks = props.disks_per_segment
+    return int(-(-steps_per_segment // disks) * disks)
+
+
+def _rk4(props, base_stresses, wrenches, steps_per_segment, poses=False):
+    """Fixed-step RK4 from the base for a stack of transported stresses.
+
+    base_stresses is (B, 6) and its rows evolve independently. Each stage
+    strain eps = REST_STRAIN + K^-1 (sigma + routed tendon stress) drives
+    d(sigma)/ds = -curly_hat(eps)^T sigma and, when poses is set, also the
+    pose dT/ds = hat6(eps) T from T(0) = I; the pose never feeds back
+    into the stress, so shooting leaves it out. Returns the arclength of
+    every sample, the stresses (n + 1, B, 6) and the poses
+    (n + 1, B, 4, 4) or None. Non-finite rows propagate silently.
+    """
+    compliance = 1.0 / np.diag(stiffness(props))
+    sigma = np.array(base_stresses, dtype=float)
+    rows = len(sigma)
+    # The pose rides along as 16 extra columns of one state array.
+    y = np.hstack([sigma, np.tile(np.eye(4).ravel(), (rows, 1))]) if poses else sigma
+
+    def derivative(y, routed):
+        sig = y[:, :6]
+        eps = REST_STRAIN + compliance * (sig + routed)
+        d_sigma = -(sig[:, None, :] @ se3.curly_hat(eps))[:, 0]
+        if not poses:
+            return d_sigma
+        d_pose = se3.hat6(eps) @ y[:, 6:].reshape(rows, 4, 4)
+        return np.concatenate([d_sigma, d_pose.reshape(rows, 16)], axis=1)
+
+    arclengths, states = [0.0], [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, length in zip(
+            np.concatenate([[0.0], props.segment_ends()[:-1]]), props.segment_lengths
+        ):
+            # The tendon stress is constant within a segment, so RK4 never
+            # straddles a jump.
+            h = length / steps_per_segment
+            routed = _active_tendon_stress(wrenches, start + 0.5 * h)
+            for j in range(1, steps_per_segment + 1):
+                k1 = derivative(y, routed)
+                k2 = derivative(y + 0.5 * h * k1, routed)
+                k3 = derivative(y + 0.5 * h * k2, routed)
+                k4 = derivative(y + h * k3, routed)
+                y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                arclengths.append(start + j * h if j < steps_per_segment else start + length)
+                states.append(y)
+    states = np.array(states)
+    pose = states[..., 6:].reshape(len(states), rows, 4, 4) if poses else None
+    return np.array(arclengths), states[..., :6], pose
+
+
 def integrate_rod(
     props: RodProperties,
     base_stress_guess: np.ndarray,
@@ -229,95 +292,19 @@ def integrate_rod(
     arclength drops that wrench from the stress, i.e. the total stress
     jumps by the applied wrench as the cut passes the termination.
     """
-    if steps_per_segment < MIN_STEPS_PER_SEGMENT:
-        raise ValueError(f"need at least {MIN_STEPS_PER_SEGMENT} steps per segment")
-    # Round up so disk arclengths land exactly on dense samples.
-    disks = props.disks_per_segment
-    steps = int(-(-steps_per_segment // disks) * disks)
+    steps = _rounded_steps(props, steps_per_segment)
     base_stress = np.asarray(base_stress_guess, dtype=float)
     tip_wrench = np.asarray(tip_wrench, dtype=float)
     if not np.all(np.isfinite(base_stress)):
         raise ValueError("base stress guess must be finite")
-    K_inv = np.linalg.inv(stiffness(props))
-
-    def strain(sigma_total):
-        return REST_STRAIN + K_inv @ sigma_total
-
-    def derivative(T, sigma_p, sigma_tendon):
-        eps = strain(sigma_p + sigma_tendon)
-        return se3.hat6(eps) @ T, -se3.curly_hat(eps).T @ sigma_p
-
-    T = np.eye(4)
-    sigma_p = base_stress.copy()
-    nodes = [StateNode(0.0, T.copy(), strain(sigma_p + _active_tendon_stress(wrenches, 0.0)))]
-    stresses = [sigma_p + _active_tendon_stress(wrenches, 0.0)]
-
-    # Divergent guesses overflow before the finiteness check catches
-    # them; keep that path silent like the batch integrator.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, length in zip(
-            np.concatenate([[0.0], props.segment_ends()[:-1]]), props.segment_lengths
-        ):
-            # The tendon stress is constant within a segment, so RK4 never
-            # straddles a jump.
-            sigma_tendon = _active_tendon_stress(wrenches, start + 0.5 * length / steps)
-            h = length / steps
-            for j in range(1, steps + 1):
-                k1_T, k1_s = derivative(T, sigma_p, sigma_tendon)
-                k2_T, k2_s = derivative(T + 0.5 * h * k1_T, sigma_p + 0.5 * h * k1_s, sigma_tendon)
-                k3_T, k3_s = derivative(T + 0.5 * h * k2_T, sigma_p + 0.5 * h * k2_s, sigma_tendon)
-                k4_T, k4_s = derivative(T + h * k3_T, sigma_p + h * k3_s, sigma_tendon)
-                T = T + h / 6.0 * (k1_T + 2.0 * k2_T + 2.0 * k3_T + k4_T)
-                sigma_p = sigma_p + h / 6.0 * (k1_s + 2.0 * k2_s + 2.0 * k3_s + k4_s)
-                if not (np.all(np.isfinite(T)) and np.all(np.isfinite(sigma_p))):
-                    raise ShootingError("rod integration diverged", sigma_p)
-                s = start + j * h if j < steps else start + length
-                sigma_total = sigma_p + _active_tendon_stress(wrenches, s)
-                nodes.append(StateNode(s, T.copy(), strain(sigma_total)))
-                stresses.append(sigma_total)
-
-    shape = GroundTruthShape(nodes, np.array(stresses))
+    arclengths, sigma_p, T = _rk4(props, base_stress[None, :], wrenches, steps, poses=True)
+    stresses = sigma_p[:, 0] + np.array([_active_tendon_stress(wrenches, s) for s in arclengths])
     residual = stresses[-1] - tip_wrench
-    return shape, residual
-
-
-def _integrate_sigma_batch(props, base_stresses, wrenches, steps_per_segment):
-    """Tip value of the transported stress for a batch of base guesses.
-
-    The transported stress never feeds back into the pose, so shooting
-    only needs this 6-dim ODE; rows evolve independently under RK4.
-    Non-finite rows are left to propagate and flagged by the caller.
-    The cross products are spelled out because this runs thousands of
-    times per shooting solve.
-    """
-    k_inv = 1.0 / np.diag(stiffness(props))
-    sigma = np.array(base_stresses, dtype=float)
-
-    def derivative(sig, sigma_tendon):
-        eps = REST_STRAIN + k_inv * (sig + sigma_tendon)
-        n1, n2, n3, w1, w2, w3 = eps.T
-        f1, f2, f3, m1, m2, m3 = sig.T
-        out = np.empty_like(sig)
-        out[:, 0] = w2 * f3 - w3 * f2
-        out[:, 1] = w3 * f1 - w1 * f3
-        out[:, 2] = w1 * f2 - w2 * f1
-        out[:, 3] = n2 * f3 - n3 * f2 + w2 * m3 - w3 * m2
-        out[:, 4] = n3 * f1 - n1 * f3 + w3 * m1 - w1 * m3
-        out[:, 5] = n1 * f2 - n2 * f1 + w1 * m2 - w2 * m1
-        return out
-
-    starts = np.concatenate([[0.0], props.segment_ends()[:-1]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, length in zip(starts, props.segment_lengths):
-            sigma_tendon = _active_tendon_stress(wrenches, start + 0.5 * length / steps_per_segment)
-            h = length / steps_per_segment
-            for _ in range(steps_per_segment):
-                k1 = derivative(sigma, sigma_tendon)
-                k2 = derivative(sigma + 0.5 * h * k1, sigma_tendon)
-                k3 = derivative(sigma + 0.5 * h * k2, sigma_tendon)
-                k4 = derivative(sigma + h * k3, sigma_tendon)
-                sigma = sigma + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return sigma
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(stresses))):
+        raise ShootingError("rod integration diverged", residual)
+    strains = REST_STRAIN + stresses * (1.0 / np.diag(stiffness(props)))
+    nodes = [StateNode(s, pose, eps) for s, pose, eps in zip(arclengths, T[:, 0], strains)]
+    return GroundTruthShape(nodes, stresses), residual
 
 
 def _newton_shoot(props, wrenches, tip_wrench, guess, steps_per_segment):
@@ -329,8 +316,7 @@ def _newton_shoot(props, wrenches, tip_wrench, guess, steps_per_segment):
     """
 
     def residuals_of(guesses):
-        tips = _integrate_sigma_batch(props, guesses, wrenches, steps_per_segment)
-        return tips - tip_wrench
+        return _rk4(props, guesses, wrenches, steps_per_segment)[1][-1] - tip_wrench
 
     residual = residuals_of(guess[None, :])[0]
     best_norm = np.max(np.abs(residual))
@@ -374,21 +360,19 @@ def solve_static(
 ) -> GroundTruthShape:
     """Newton shooting on the base stress until the tip wrench balances.
 
-    Shoots at a coarse resolution first, then re-verifies (and polishes
-    if needed) at the requested one; RK4 is accurate enough that the
-    polish almost never takes an extra step.
+    Shoots at a coarse resolution first, then integrates the dense shape
+    at the requested one; only if that shape's tip misses the wrench by
+    SHOOTING_TOL does Newton polish at the dense resolution, which RK4 is
+    accurate enough to make rare.
     """
-    if steps_per_segment < MIN_STEPS_PER_SEGMENT:
-        raise ValueError(f"need at least {MIN_STEPS_PER_SEGMENT} steps per segment")
+    steps = _rounded_steps(props, steps_per_segment)
     wrenches = tendon_point_wrenches(props, actuation)
     tip_wrench = np.asarray(actuation.tip_wrench, dtype=float)
-    guess = _newton_shoot(
-        props, wrenches, tip_wrench, np.zeros(6),
-        min(COARSE_SHOOTING_STEPS, steps_per_segment),
-    )
-    if steps_per_segment > COARSE_SHOOTING_STEPS:
-        guess = _newton_shoot(props, wrenches, tip_wrench, guess, steps_per_segment)
-    shape, _ = integrate_rod(props, guess, wrenches, tip_wrench, steps_per_segment)
+    guess = _newton_shoot(props, wrenches, tip_wrench, np.zeros(6), COARSE_SHOOTING_STEPS)
+    shape, residual = integrate_rod(props, guess, wrenches, tip_wrench, steps)
+    if np.max(np.abs(residual)) >= SHOOTING_TOL:
+        guess = _newton_shoot(props, wrenches, tip_wrench, guess, steps)
+        shape, _ = integrate_rod(props, guess, wrenches, tip_wrench, steps)
     return shape
 
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rodgp import cli
 from rodgp.config import parse_config
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +334,36 @@ def test_out_of_range_arguments_exit_2_with_one_line(workdir, capsys, argv, opti
     assert err.count("\n") == 1
     assert f"error: argument {option}:" in err
     assert not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"seed": None},
+        {"rod": {"segment_lengths_m": 5}},
+        {"noise": {"sigma_t_m": None}},
+        {"prior": {"qc_diag": 5}},
+        {"rod": {"tendons": [{"segment": 0, "theta_rad": None}]}},
+    ],
+)
+def test_config_values_of_the_wrong_type_exit_2_with_one_line(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "x.json"
+    code = cli.main(["simulate", "--config", str(config), "--count", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rodgp", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "simulate" in done.stdout

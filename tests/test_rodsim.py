@@ -15,6 +15,10 @@ from rodgp.rodsim import (
 )
 
 NO_TENSION = (0.0,) * 8
+# Two tendons in different segments plus a tip wrench.
+TIP_LOADED = Actuation(
+    (2.5, 0, 0, 0, 0, 2.0, 0, 0), (-0.08, 0.05, 0.06, 0.008, -0.006, 0.004)
+)
 
 
 def single_tendon(tension, index=0):
@@ -116,6 +120,49 @@ def test_integrate_rod_step_handling():
     np.testing.assert_allclose(residual, np.zeros(6))
 
 
+def coupled_rk4_reference(props, base_stress, wrenches, steps):
+    """The dense pass as a per-step RK4 on one 4x4 pose and one stress.
+
+    Returns the poses and the total stresses at every sample.
+    """
+    compliance = 1.0 / np.diag(rodsim.stiffness(props))
+
+    def routed(s):
+        return sum((w for end, w in wrenches if s < end - 1e-12), np.zeros(6))
+
+    def derivative(T, sigma, tendons):
+        eps = rodsim.REST_STRAIN + compliance * (sigma + tendons)
+        return se3.hat6(eps) @ T, -se3.curly_hat(eps).T @ sigma
+
+    T, sigma = np.eye(4), np.asarray(base_stress, dtype=float)
+    poses, stresses = [T], [sigma + routed(0.0)]
+    for start, length in zip([0.0, *props.segment_ends()[:-1]], props.segment_lengths):
+        h = length / steps
+        tendons = routed(start + 0.5 * h)
+        for j in range(1, steps + 1):
+            k1 = derivative(T, sigma, tendons)
+            k2 = derivative(T + 0.5 * h * k1[0], sigma + 0.5 * h * k1[1], tendons)
+            k3 = derivative(T + 0.5 * h * k2[0], sigma + 0.5 * h * k2[1], tendons)
+            k4 = derivative(T + h * k3[0], sigma + h * k3[1], tendons)
+            T = T + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            sigma = sigma + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            poses.append(T)
+            stresses.append(sigma + routed(start + j * h if j < steps else start + length))
+    return np.array(poses), np.array(stresses)
+
+
+def test_integrate_rod_matches_a_coupled_rk4_loop():
+    props = RodProperties.default()
+    act = TIP_LOADED
+    wrenches = rodsim.tendon_point_wrenches(props, act)
+    base = np.array([0.3, -0.1, 0.2, 0.01, -0.02, 0.015])
+    shape, residual = rodsim.integrate_rod(props, base, wrenches, np.array(act.tip_wrench), 200)
+    poses, stresses = coupled_rk4_reference(props, base, wrenches, 203)
+    np.testing.assert_allclose([n.T for n in shape.nodes], poses, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(shape.sigma, stresses, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(residual, stresses[-1] - act.tip_wrench, rtol=0, atol=1e-13)
+
+
 def test_integrate_rod_divergence():
     props = RodProperties.default()
     with pytest.raises(ShootingError) as excinfo:
@@ -195,14 +242,68 @@ def test_opposing_tendons_compress_axially():
 
 def test_shooting_residual_under_tip_load():
     props = RodProperties.default()
-    act = Actuation(
-        (2.5, 0, 0, 0, 0, 2.0, 0, 0), (-0.08, 0.05, 0.06, 0.008, -0.006, 0.004)
-    )
+    act = TIP_LOADED
     shape = rodsim.solve_static(props, act)
     np.testing.assert_allclose(
         shape.sigma[-1], act.tip_wrench, atol=rodsim.SHOOTING_TOL
     )
     se3.check_pose(shape.nodes[-1].T, tol=1e-6)
+
+
+def test_dense_shape_is_polished_when_the_coarse_root_misses(monkeypatch):
+    # Eight coarse steps leave a root whose dense tip misses the wrench by
+    # more than SHOOTING_TOL, so Newton must finish at the dense resolution.
+    props = RodProperties.default()
+    reference = rodsim.solve_static(props, TIP_LOADED)
+    monkeypatch.setattr(rodsim, "COARSE_SHOOTING_STEPS", 8)
+    shape = rodsim.solve_static(props, TIP_LOADED)
+    np.testing.assert_allclose(shape.sigma[-1], TIP_LOADED.tip_wrench, atol=rodsim.SHOOTING_TOL)
+    np.testing.assert_allclose(shape.nodes[-1].T, reference.nodes[-1].T, atol=1e-8)
+
+
+def test_tip_loaded_shape_matches_an_adaptive_reintegration():
+    # Independent reference: the same statics with the cross products
+    # written out, integrated by DOP853 from the solved base stress. The
+    # state is the rotation C, the position r and the transported force f
+    # and moment m; with strain (v, u) = rest + K^-1 (total stress),
+    # dT/ds = hat6(eps) T gives C' = u x C and r' = u x r + v, and the
+    # stress obeys f' = u x f, m' = v x f + u x m.
+    from scipy.integrate import solve_ivp
+
+    props = RodProperties.default()
+    shape = rodsim.solve_static(props, TIP_LOADED)
+    compliance = 1.0 / np.diag(rodsim.stiffness(props))
+    ends = props.segment_ends()
+
+    def routed(s):
+        total = np.zeros(6)
+        for (segment, theta), tension in zip(props.tendons, TIP_LOADED.tensions):
+            if s < ends[segment]:
+                offset = props.pitch_radius * np.array([0.0, np.sin(theta), np.cos(theta)])
+                force = np.array([-tension, 0.0, 0.0])
+                total += np.concatenate([force, np.cross(offset, force)])
+        return total
+
+    y = np.concatenate([np.eye(3).ravel(), np.zeros(3), shape.sigma[0] - routed(0.0)])
+    for start, end in zip([0.0, *ends[:-1]], ends):
+
+        def rhs(_s, y, tendons=routed(0.5 * (start + end))):
+            C, r, f, m = y[:9].reshape(3, 3), y[9:12], y[12:15], y[15:18]
+            strain = rodsim.REST_STRAIN + compliance * (y[12:18] + tendons)
+            v, u = strain[:3], strain[3:]
+            dC = np.cross(u, C.T).T
+            return np.concatenate([dC.ravel(), np.cross(u, r) + v, np.cross(u, f), np.cross(v, f) + np.cross(u, m)])
+
+        sol = solve_ivp(rhs, (start, end), y, method="DOP853", rtol=1e-11, atol=1e-13)
+        assert sol.success
+        y = sol.y[:, -1]
+
+    tip = shape.nodes[-1].T
+    assert np.linalg.norm(y[9:12] - tip[:3, 3]) < 1e-8
+    R = y[:9].reshape(3, 3) @ tip[:3, :3].T
+    angle = np.arctan2(np.linalg.norm(R - R.T) / (2.0 * np.sqrt(2.0)), 0.5 * (np.trace(R) - 1.0))
+    assert angle < 1e-8
+    assert np.max(np.abs(y[12:18] - np.array(TIP_LOADED.tip_wrench))) < 1e-7
 
 
 def test_refining_steps_barely_moves_the_tip():
