@@ -66,31 +66,49 @@ def default_config() -> dict:
     }
 
 
+def _check_type(default, value, path):
+    """Reject a value whose JSON type differs from its default's, naming
+    its dotted path. An integer default takes integral numbers only; the
+    items of a list of scalars are checked against its first default."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok, kind = {
+        dict: (isinstance(value, dict), "an object"),
+        list: (isinstance(value, list), "a list"),
+        bool: (isinstance(value, bool), "true or false"),
+        int: (number and float(value).is_integer(), "an integer"),
+        float: (number, "a number"),
+        str: (isinstance(value, str), "a string"),
+    }[type(default)]
+    if not ok:
+        raise ConfigError(f"{path or 'top level'}: expected {kind}, got {json.dumps(value)}")
+    if isinstance(default, list) and not isinstance(default[0], dict):
+        for i, item in enumerate(value):
+            _check_type(default[0], item, f"{path}[{i}]")
+
+
 def _merge(defaults, user, path):
-    """Defaults overridden by user values, rejecting unknown keys.
+    """Defaults overridden by user values, rejecting unknown keys and
+    values of the wrong type.
 
     Lists replace wholesale; dicts merge recursively. The tendons list is
     special-cased because its item schema is fixed.
     """
-    if isinstance(defaults, dict):
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path or 'top level'}: expected an object")
-        unknown = set(user) - set(defaults)
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(f"unknown key '{path + '.' if path else ''}{key}'")
-        return {
-            key: _merge(defaults[key], user[key], f"{path + '.' if path else ''}{key}")
-            if key in user
-            else defaults[key]
-            for key in defaults
-        }
-    return user
+    _check_type(defaults, user, path)
+    if not isinstance(defaults, dict):
+        return user
+    unknown = set(user) - set(defaults)
+    if unknown:
+        key = sorted(unknown)[0]
+        raise ConfigError(f"unknown key '{path + '.' if path else ''}{key}'")
+    return {
+        key: _merge(defaults[key], user[key], f"{path + '.' if path else ''}{key}")
+        if key in user
+        else defaults[key]
+        for key in defaults
+    }
 
 
 def _check_tendons(tendons):
-    if not isinstance(tendons, list):
-        raise ConfigError("rod.tendons: expected a list")
     for i, item in enumerate(tendons):
         if not isinstance(item, dict):
             raise ConfigError(f"rod.tendons[{i}]: expected an object")
@@ -100,6 +118,8 @@ def _check_tendons(tendons):
         missing = {"segment", "theta_rad"} - set(item)
         if missing:
             raise ConfigError(f"rod.tendons[{i}]: missing '{sorted(missing)[0]}'")
+        _check_type(0, item["segment"], f"rod.tendons[{i}].segment")
+        _check_type(0.0, item["theta_rad"], f"rod.tendons[{i}].theta_rad")
 
 
 @dataclass(frozen=True)

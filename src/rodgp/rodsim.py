@@ -385,7 +385,8 @@ def sample_dataset(
 ):
     """Random actuations and their solved shapes.
 
-    Each draw tensions one or two tendons uniformly in [0, 3] N. The first
+    Each draw tensions one or two tendons (one on a single-tendon rod)
+    uniformly in [0, 3] N. The first
     floor(loaded_fraction * count) configurations additionally carry a tip
     wrench with force components uniform in [-0.1, 0.1] N and moment
     components uniform in [-0.01, 0.01] N*m. Per-configuration generators
@@ -400,7 +401,7 @@ def sample_dataset(
     dataset = []
     for index in range(count):
         rng = np.random.default_rng([int(seed), index])
-        n_active = int(rng.integers(1, 3))
+        n_active = min(int(rng.integers(1, 3)), len(props.tendons))
         active = rng.choice(len(props.tendons), size=n_active, replace=False)
         tensions = np.zeros(len(props.tendons))
         tensions[active] = rng.uniform(0.0, 3.0, size=n_active)

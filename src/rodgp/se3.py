@@ -262,18 +262,19 @@ def pose_inverse(T) -> np.ndarray:
 
 
 def check_pose(T, tol: float = 1e-9) -> np.ndarray:
-    """Validate a 4x4 pose: orthonormal rotation, unit bottom row."""
+    """Validate a 4x4 pose, or a (..., 4, 4) stack: orthonormal rotation,
+    unit bottom row."""
     T = np.asarray(T, dtype=float)
-    if T.shape != (4, 4):
+    if T.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 pose, got {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("pose contains non-finite entries")
-    C = T[:3, :3]
-    if np.max(np.abs(C.T @ C - np.eye(3))) > tol:
+    C = T[..., :3, :3]
+    if np.max(np.abs(np.swapaxes(C, -1, -2) @ C - np.eye(3)), initial=0.0) > tol:
         raise ValueError("rotation block is not orthonormal within tolerance")
-    if abs(np.linalg.det(C) - 1.0) > tol:
+    if np.max(np.abs(np.linalg.det(C) - 1.0), initial=0.0) > tol:
         raise ValueError("rotation block must have determinant +1")
-    if np.max(np.abs(T[3, :] - np.array([0.0, 0.0, 0.0, 1.0]))) > tol:
+    if np.max(np.abs(T[..., 3, :] - np.array([0.0, 0.0, 0.0, 1.0])), initial=0.0) > tol:
         raise ValueError("bottom row must be (0, 0, 0, 1)")
     return T
 

@@ -2,12 +2,15 @@
 
 The normal equations of the prior factors 0.5 e_p^T Q^-1 e_p plus the
 measurement factors 0.5 e_m^T R^-1 e_m are block tridiagonal with 12-dim
-node blocks (one interval couples adjacent nodes only). Factorisation,
-solves, and marginal covariance extraction all run in O(K) via a block
-Cholesky recursion; nothing ever forms the dense system.
+node blocks (one interval couples adjacent nodes only). One stacked kernel
+factors them by block cyclic reduction, in about log2(K) levels of batched
+calls, and serves the step, the marginal and adjacent-node covariances and
+posterior samples; nothing ever forms the dense system.
 
-Locked sub-states (boundary conditions) are handled by deleting their rows
-and columns, so each node owns between 0 and 12 free dimensions.
+Locked sub-states (boundary conditions) are pinned rather than deleted: a
+locked dimension gets a unit diagonal, zero coupling and a zero right-hand
+side, and its entries of the step and of the covariances are zeroed
+afterwards. Every node block keeps all 12 dimensions, so systems stack.
 """
 
 from __future__ import annotations
@@ -76,10 +79,10 @@ class Problem:
         n = self.grid.size
         if len(self.initial_guess) != n:
             raise ValueError(f"initial guess must have {n} nodes")
-        for node, s in zip(self.initial_guess, self.grid):
-            if abs(node.s - s) > NODE_MATCH_TOL:
-                raise ValueError("initial guess arclengths must match the grid")
-            se3.check_pose(node.T)
+        guess = stack_nodes(self.initial_guess)
+        if np.any(np.abs(guess.s - self.grid) > NODE_MATCH_TOL):
+            raise ValueError("initial guess arclengths must match the grid")
+        se3.check_pose(guess.T)
         if self.locks is None:
             self.locks = default_locks(n)
         self.locks = np.array(self.locks, dtype=bool)
@@ -141,22 +144,9 @@ def linearize(problem: Problem, T, eps):
     return H_diag, A[:, 0:12, 12:24], b, cost
 
 
-def _reduce(locks, H_diag, H_off, b):
-    """Delete the locked rows and columns from full normal equations."""
-    free = [np.flatnonzero(~row) for row in locks]
-    n = len(free)
-
-    def block(M, rows, cols):
-        return M if rows.size == cols.size == 12 else M[np.ix_(rows, cols)]
-
-    diag = [block(H_diag[k], free[k], free[k]) for k in range(n)]
-    off = [block(H_off[k], free[k], free[k + 1]) for k in range(n - 1)]
-    rhs = [b[k][free[k]] for k in range(n)]
-    return diag, off, rhs, free
-
-
 def assemble(problem: Problem, nodes):
-    """Normal equations at an operating point, reduced by the locks.
+    """Normal equations at an operating point with the locked rows and
+    columns deleted.
 
     Returns (diag, off, rhs, free) where diag[k] is the k-th diagonal
     block, off[k] couples nodes k and k+1, rhs is -gradient, and free[k]
@@ -164,69 +154,162 @@ def assemble(problem: Problem, nodes):
     """
     stack = stack_nodes(nodes)
     H_diag, H_off, b, _ = linearize(problem, stack.T, stack.eps)
-    return _reduce(problem.locks, H_diag, H_off, b)
+    free = [np.flatnonzero(~row) for row in problem.locks]
+    diag = [H_diag[k][np.ix_(f, f)] for k, f in enumerate(free)]
+    off = [H_off[k][np.ix_(free[k], free[k + 1])] for k in range(len(free) - 1)]
+    return diag, off, [b[k][f] for k, f in enumerate(free)], free
+
+
+def _block_masks(free):
+    """Entries of the diagonal and of the coupling blocks whose two
+    dimensions are both free, from the (..., n, w) free mask."""
+    return free[..., :, None] & free[..., None, :], free[..., :-1, :, None] & free[..., 1:, None, :]
+
+
+def pin(free, D, U, b):
+    """The system with every dimension outside the free mask pinned: unit
+    diagonal, zero coupling and zero right-hand side. Its solution and
+    inverse on the free dimensions are those of the system with the pinned
+    rows and columns deleted."""
+    diag_mask, off_mask = _block_masks(free)
+    return np.where(diag_mask, D, np.eye(free.shape[-1])), np.where(off_mask, U, 0.0), np.where(free, b, 0.0)
+
+
+def _t(M):
+    return np.swapaxes(M, -1, -2)
+
+
+def _pad_right(M, length):
+    """The first `length` blocks of M along the node axis, zero past its end."""
+    return np.concatenate([M, np.zeros(M.shape[:-3] + (1,) + M.shape[-2:])], axis=-3)[..., :length, :, :]
+
+
+def _interleave(even, odd):
+    """Blocks even[0], odd[0], even[1], ... along the node axis."""
+    out = np.empty(odd.shape[:-3] + (even.shape[-3] + odd.shape[-3],) + even.shape[-2:])
+    out[..., 0::2, :, :], out[..., 1::2, :, :] = even, odd
+    return out
+
+
+def cr_factor(D, U):
+    """Block cyclic reduction of a symmetric positive definite
+    block-tridiagonal system.
+
+    D (..., n, w, w) holds the diagonal blocks and U (..., n - 1, w, w) the
+    blocks coupling node k to node k + 1; leading axes are independent
+    systems. Each level eliminates the odd nodes, which couple only to
+    their even neighbours, and hands the Schur complement on the even
+    nodes, again block tridiagonal, to the next level: about log2(n) levels
+    of batched calls. Returns (levels, root): per level the inverse
+    Cholesky factors Li of the odd nodes' diagonal blocks and
+    W = Li [A[j, j-1], A[j, j+1]] (zero past the last node), then Li of the
+    node left at the root. Raises numpy.linalg.LinAlgError when the system
+    is not positive definite (under-constrained problem).
+    """
+    U, w, levels = _pad_right(U, D.shape[-3]), D.shape[-1], []
+    while D.shape[-3] > 1:
+        h, e = D.shape[-3] // 2, (D.shape[-3] + 1) // 2
+        Li = np.linalg.inv(np.linalg.cholesky(D[..., 1::2, :, :]))
+        W = Li @ np.concatenate([_t(U[..., 0 : 2 * h : 2, :, :]), U[..., 1::2, :, :]], axis=-1)
+        G = _t(W) @ W
+        D = D[..., 0::2, :, :].copy()
+        D[..., :h, :, :] -= G[..., :w, :w]
+        D[..., 1:, :, :] -= G[..., : e - 1, w:, w:]
+        U = np.zeros_like(D)
+        U[..., :h, :, :] = -G[..., :w, w:]
+        levels.append((Li, W))
+    return levels, np.linalg.inv(np.linalg.cholesky(D))
+
+
+def cr_solve(factor, b):
+    """Solution x (..., n, w) of the factored system for b (..., n, w).
+
+    The forward sweep whitens b level by level into c = L^-1 b, stored at
+    each node's own index, and cr_sample maps c to x = L^-T c.
+    """
+    c = np.empty(b.shape + (1,))
+    view, b, w = c, b[..., None], b.shape[-1]
+    for Li, W in factor[0]:
+        view[..., 1::2, :, :] = Li @ b[..., 1::2, :, :]
+        Wc = _t(W) @ view[..., 1::2, :, :]
+        b = b[..., 0::2, :, :].copy()
+        b[..., : Li.shape[-3], :, :] -= Wc[..., :w, :]
+        b[..., 1:, :, :] -= Wc[..., : b.shape[-3] - 1, w:, :]
+        view = view[..., 0::2, :, :]
+    view[...] = factor[1] @ b
+    return cr_sample(factor, c[..., 0])
+
+
+def cr_sample(factor, z):
+    """x = L^-T z (..., n, w): zero-mean draws whose covariance is the
+    inverse of the factored system when z is standard normal. The root is
+    drawn first, then each eliminated node j given its two neighbours:
+    x_j = Li^T (z_j - W [x_{j-1}; x_{j+1}])."""
+    levels, root = factor
+    z = [z[..., None]]
+    for _ in levels:
+        z.append(z[-1][..., 0::2, :, :])
+    x = _t(root) @ z[-1]
+    for (Li, W), z_level in zip(levels[::-1], z[-2::-1]):
+        h = Li.shape[-3]
+        x_nb = np.concatenate([x[..., :h, :, :], _pad_right(x[..., 1:, :, :], h)], axis=-2)
+        x = _interleave(x, _t(Li) @ (z_level[..., 1::2, :, :] - W @ x_nb))
+    return x[..., 0]
+
+
+def cr_marginals(factor):
+    """Diagonal blocks P (..., n, w, w) and blocks C (..., n - 1, w, w)
+    coupling node k to node k + 1 of the inverse of the factored system.
+
+    They go down the tree from the root: an eliminated node j with
+    neighbours N gets D_j^-1 + F S F^T and cross-covariances -F S, where
+    F = D_j^-1 A[j, N] and S is the joint of N, adjacent one level up.
+    """
+    levels, root = factor
+    P = _t(root) @ root
+    C = P[..., :0, :, :]
+    for Li, W in levels[::-1]:
+        h, w = Li.shape[-3], P.shape[-1]
+        F, C_n = _t(Li) @ W, _pad_right(C, h)
+        G = F @ np.block([[P[..., :h, :, :], C_n], [_t(C_n), _pad_right(P[..., 1:, :, :], h)]])
+        C = _interleave(-_t(G[..., :w]), -G[..., : P.shape[-3] - 1, :, w:])
+        P = _interleave(P, _t(Li) @ Li + G @ _t(F))
+    return P, C
 
 
 def block_tridiag_cholesky(diag, off):
-    """Lower block-bidiagonal Cholesky factors of a block-tridiagonal SPD matrix.
-
-    Returns (L, C) with A[k,k] = L_k L_k^T + C_{k-1} C_{k-1}^T and
-    A[k+1,k] = C_k L_k^T. Raises numpy.linalg.LinAlgError when the matrix
-    is not positive definite (under-constrained problem).
-    """
-    n = len(diag)
-    L = [None] * n
-    C = [None] * (n - 1)
-    for k in range(n):
-        Ak = np.array(diag[k], dtype=float)
-        if k > 0:
-            Ak -= C[k - 1] @ C[k - 1].T
-        L[k] = np.linalg.cholesky(Ak)
-        if k < n - 1:
-            C[k] = np.linalg.solve(L[k], off[k]).T
-    return L, C
+    """Factor a block-tridiagonal SPD matrix given as ragged blocks, with
+    off[k] = A[k, k+1]: (cr_factor of the system padded with pinned
+    dimensions to its widest block, (n, w) mask of the real dimensions).
+    Raises numpy.linalg.LinAlgError when it is not positive definite."""
+    sizes = np.array([len(d) for d in diag])
+    free = np.arange(sizes.max()) < sizes[:, None]
+    masks = _block_masks(free)
+    D, U = (np.zeros(mask.shape) for mask in masks)
+    for M, mask, blocks in zip((D, U), masks, (diag, off)):
+        M[mask] = np.concatenate([np.zeros(0)] + [np.ravel(blk) for blk in blocks])
+    return cr_factor(*pin(free, D, U, np.zeros(free.shape))[:2]), free
 
 
-def block_tridiag_solve_factored(L, C, rhs):
-    """Solve A x = rhs given the factors from block_tridiag_cholesky."""
-    n = len(L)
-    y = [None] * n
-    for k in range(n):
-        r = rhs[k] if k == 0 else rhs[k] - C[k - 1] @ y[k - 1]
-        y[k] = np.linalg.solve(L[k], r)
-    x = [None] * n
-    for k in range(n - 1, -1, -1):
-        r = y[k] if k == n - 1 else y[k] - C[k].T @ x[k + 1]
-        x[k] = np.linalg.solve(L[k].T, r)
-    return x
+def block_tridiag_solve_factored(factor, free, rhs):
+    """Solve A x = rhs given the factor from block_tridiag_cholesky."""
+    b = np.zeros(free.shape)
+    b[free] = np.concatenate(rhs)
+    x = cr_solve(factor, b)
+    return [x[k][f] for k, f in enumerate(free)]
 
 
 def solve_block_tridiag(diag, off, rhs):
-    """Factor and solve in one call; O(K) in the number of blocks."""
-    L, C = block_tridiag_cholesky(diag, off)
-    return block_tridiag_solve_factored(L, C, rhs)
+    """Factor and solve in one call, for ragged blocks."""
+    return block_tridiag_solve_factored(*block_tridiag_cholesky(diag, off), rhs)
 
 
-def block_tridiag_marginals(L, C):
-    """Diagonal and first superdiagonal blocks of the inverse.
-
-    Backward recursion on the Cholesky factors; never forms the dense
-    inverse.
-    """
-    n = len(L)
-    P_diag = [None] * n
-    P_off = [None] * (n - 1)
-    eye = np.eye(L[n - 1].shape[0])
-    inv_last = np.linalg.solve(L[n - 1].T, np.linalg.solve(L[n - 1], eye))
-    P_diag[n - 1] = inv_last
-    for k in range(n - 2, -1, -1):
-        eye = np.eye(L[k].shape[0])
-        Lk_inv = np.linalg.solve(L[k], eye)
-        base = Lk_inv.T @ Lk_inv
-        W = np.linalg.solve(L[k].T, C[k].T)
-        P_off[k] = -W @ P_diag[k + 1]
-        P_diag[k] = base + W @ P_diag[k + 1] @ W.T
-    return P_diag, P_off
+def block_tridiag_marginals(factor, free):
+    """Diagonal and first superdiagonal blocks of the inverse, as ragged
+    blocks; never forms the dense inverse."""
+    P, C = cr_marginals(factor)
+    diag = [P[k][np.ix_(f, f)] for k, f in enumerate(free)]
+    return diag, [C[k][np.ix_(free[k], free[k + 1])] for k in range(len(free) - 1)]
 
 
 @dataclass
@@ -240,8 +323,7 @@ class Solution:
     iterations: int
     converged: bool
     problem: Problem = field(repr=False)
-    chol_L: list = field(repr=False, default=None)
-    chol_C: list = field(repr=False, default=None)
+    factor: tuple = field(repr=False, default=None)
 
     @property
     def grid(self) -> np.ndarray:
@@ -250,17 +332,6 @@ class Solution:
     @property
     def hyper(self) -> PriorHyperparams:
         return self.problem.hyper
-
-
-def _embed_covariances(P_diag, P_off, locks):
-    """Scatter reduced covariance blocks back to full 12-dim node blocks:
-    (n, 12, 12) marginals and (n - 1, 24, 24) joints of adjacent nodes."""
-    free = ~locks
-    marg = np.zeros((len(free), 12, 12))
-    marg[free[:, :, None] & free[:, None, :]] = np.concatenate([P.ravel() for P in P_diag])
-    off = np.zeros((len(free) - 1, 12, 12))
-    off[free[:-1, :, None] & free[1:, None, :]] = np.concatenate([P.ravel() for P in P_off])
-    return marg, np.block([[marg[:-1], off], [np.swapaxes(off, -1, -2), marg[1:]]])
 
 
 def gauss_newton(problem: Problem) -> Solution:
@@ -276,12 +347,11 @@ def gauss_newton(problem: Problem) -> Solution:
     converged = False
     monotone = True
     iterations = 0
+    free = ~problem.locks
 
     for _ in range(problem.max_iters):
-        diag, off, rhs, free = _reduce(problem.locks, *system[:3])
-        L, C = block_tridiag_cholesky(diag, off)
-        full = np.zeros((len(free), 12))
-        full[~problem.locks] = np.concatenate(block_tridiag_solve_factored(L, C, rhs))
+        D, U, b = pin(free, *system[:3])
+        full = np.where(free, cr_solve(cr_factor(D, U), b), 0.0)
         x.T = se3.exp_se3(full[:, 0:6]) @ x.T
         x.eps = x.eps + full[:, 6:12]
         iterations += 1
@@ -300,19 +370,23 @@ def gauss_newton(problem: Problem) -> Solution:
 
 
 def _finalize(problem, x, system, cost_history, iterations, converged) -> Solution:
-    """Factor the system linearised at the stacked nodes x and package the Solution."""
-    L, C = block_tridiag_cholesky(*_reduce(problem.locks, *system[:3])[:2])
-    marg, joints = _embed_covariances(*block_tridiag_marginals(L, C), problem.locks)
+    """Factor the system linearised at the stacked nodes x and package the
+    Solution: (n, 12, 12) marginals and (n - 1, 24, 24) joints of adjacent
+    nodes, zero on the locked dimensions."""
+    free = ~problem.locks
+    factor = cr_factor(*pin(free, *system[:3])[:2])
+    diag_mask, off_mask = _block_masks(free)
+    P, C = cr_marginals(factor)
+    marg, off = np.where(diag_mask, P, 0.0), np.where(off_mask, C, 0.0)
     return Solution(
         nodes=[StateNode(node.s, T, eps) for node, T, eps in zip(problem.initial_guess, x.T, x.eps)],
         marginal_covs=marg,
-        joint_covs=joints,
+        joint_covs=np.block([[marg[:-1], off], [_t(off), marg[1:]]]),
         cost_history=cost_history,
         iterations=iterations,
         converged=converged,
         problem=problem,
-        chol_L=L,
-        chol_C=C,
+        factor=factor,
     )
 
 
@@ -328,26 +402,16 @@ def factorize(problem: Problem) -> Solution:
 
 
 def sample_posterior(solution: Solution, count: int, rng):
-    """Draw joint posterior samples x = x_hat (+) L^-T z.
+    """Draw joint posterior samples x = x_hat (+) dx, all in one pass.
 
-    z is standard normal on the free dimensions; the backward substitution
-    against the block Cholesky factor gives samples with covariance A^-1.
-    Locked dimensions stay at their estimates.
+    dx comes from cr_sample on standard normal draws, so its covariance is
+    the inverse of the factored system. Locked dimensions stay at their
+    estimates.
     """
     rng = np.random.default_rng(rng)
-    L, C = solution.chol_L, solution.chol_C
-    n = len(L)
     nodes = stack_nodes(solution.nodes)
-    samples = []
-    for _ in range(count):
-        y = [None] * n
-        for k in range(n - 1, -1, -1):
-            z = rng.standard_normal(L[k].shape[0])
-            if k < n - 1:
-                z = z - C[k].T @ y[k + 1]
-            y[k] = np.linalg.solve(L[k].T, z)
-        full = np.zeros((n, 12))
-        full[~solution.problem.locks] = np.concatenate(y)
-        T = se3.exp_se3(full[:, 0:6]) @ nodes.T
-        samples.append([StateNode(s, T[k], nodes.eps[k] + full[k, 6:12]) for k, s in enumerate(nodes.s)])
-    return samples
+    free = ~solution.problem.locks
+    full = np.where(free, cr_sample(solution.factor, rng.standard_normal((count,) + free.shape)), 0.0)
+    T = se3.exp_se3(full[..., 0:6]) @ nodes.T
+    eps = nodes.eps + full[..., 6:12]
+    return [[StateNode(s, T[i, k], eps[i, k]) for k, s in enumerate(nodes.s)] for i in range(count)]

@@ -367,3 +367,28 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     assert done.returncode == 0
     assert done.stderr == ""
     assert "simulate" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [({"prior": {"K": 10.9}}, "prior.K"), ({"rod": {"tendons": [{"segment": 0.5, "theta_rad": 0}]}}, "rod.tendons[0].segment")],
+)
+def test_non_integral_counts_exit_2_naming_the_key(tmp_path, capsys, document, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "x.json"
+    code = cli.main(["simulate", "--config", str(config), "--count", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: expected an integer, got ")
+    assert not out.exists()
+
+
+def test_simulate_single_tendon_rod(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rod": {"tendons": [{"segment": 0, "theta_rad": 0}]}}))
+    out = tmp_path / "data.json"
+    code = cli.main(["simulate", "--config", str(config), "--count", "2", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    runs = json.loads(out.read_text())["runs"]
+    assert len(runs) == 2 and all(len(run["actuation"]) == 1 for run in runs)

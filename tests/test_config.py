@@ -126,3 +126,28 @@ def test_document_round_trips_through_json():
     run = cfg.parse_config({"seed": 13})
     text = cfg.canonical_json(run.document)
     assert cfg.parse_config(json.loads(text)).config_hash() == run.config_hash()
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"prior": {"K": 10.9}}, r"prior\.K: expected an integer, got 10\.9"),
+        ({"prior": {"M": "5"}}, r"prior\.M: expected an integer, got \"5\""),
+        ({"rod": {"tendons": [{"segment": 0.5, "theta_rad": 0}]}}, r"rod\.tendons\[0\]\.segment: expected an integer"),
+        ({"prior": {"qc_diag": 5}}, r"prior\.qc_diag: expected a list, got 5"),
+        ({"prior": {"eps_bar": [1, 0, 0, 0, 0, None]}}, r"prior\.eps_bar\[5\]: expected a number, got null"),
+        ({"seed": None}, r"seed: expected an integer, got null"),
+        ({"noise": {"sigma_t_m": True}}, r"noise\.sigma_t_m: expected a number, got true"),
+        ({"scenario": {"locks": {"root_pose": 1}}}, r"scenario\.locks\.root_pose: expected true or false"),
+        ({"scenario": {"type": 3}}, r"scenario\.type: expected a string"),
+    ],
+)
+def test_values_of_the_wrong_type_name_their_key(document, message):
+    with pytest.raises(ConfigError, match=message):
+        cfg.parse_config(document)
+
+
+def test_integral_numbers_are_accepted_for_integers_and_floats():
+    run = cfg.parse_config({"prior": {"K": 12.0, "M": 3}, "rod": {"E_pa": 54000000000}})
+    assert run.scenario_config().num_intervals == 12
+    assert run.props().young_modulus == 54e9

@@ -415,3 +415,124 @@ def test_linearize_matches_looped_factors(props, small_dataset):
         np.testing.assert_allclose(fused[3], looped[3], rtol=1e-12)
     # Gauss-Newton prices each iterate with the pass that linearises it.
     np.testing.assert_allclose(sol.cost_history[-1], looped[3], rtol=1e-12)
+
+
+def stacked_system(gen, n, batch=()):
+    """Random SPD block-tridiagonal system as stacked (D, U, b) arrays."""
+    D = np.empty(batch + (n, 12, 12))
+    U = np.empty(batch + (n - 1, 12, 12))
+    b = np.empty(batch + (n, 12))
+    for idx in np.ndindex(*batch):
+        diag, off, rhs = random_block_system(gen, [12] * n)
+        D[idx], b[idx] = np.stack(diag), np.stack(rhs)
+        U[idx] = np.stack(off) if off else np.zeros((0, 12, 12))
+    return D, U, b
+
+
+def dense_stacked(D, U):
+    return dense_from_blocks(list(D), list(U))[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 43, 201])
+def test_cyclic_reduction_matches_dense_solve_and_inverse(n):
+    gen = np.random.default_rng(600 + n)
+    D, U, b = stacked_system(gen, n)
+    A = dense_stacked(D, U)
+    factor = solver.cr_factor(D, U)
+    x = solver.cr_solve(factor, b)
+    expected = np.linalg.solve(A, b.ravel()).reshape(n, 12)
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    P, C = solver.cr_marginals(factor)
+    assert P.shape == (n, 12, 12) and C.shape == (n - 1, 12, 12)
+    inv = np.linalg.inv(A)
+    tol = 1e-12 * np.abs(inv).max()
+    for k in range(n):
+        np.testing.assert_allclose(P[k], inv[12 * k : 12 * k + 12, 12 * k : 12 * k + 12], rtol=0, atol=tol)
+    for k in range(n - 1):
+        np.testing.assert_allclose(C[k], inv[12 * k : 12 * k + 12, 12 * k + 12 : 12 * k + 24], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_cyclic_reduction_samples_have_the_inverse_as_covariance(n):
+    # Draws are linear in z, so pushing the unit vectors through gives the
+    # square root M of the covariance, which must satisfy M M^T = A^-1.
+    gen = np.random.default_rng(700 + n)
+    D, U, _ = stacked_system(gen, n)
+    unit = np.eye(12 * n).reshape(12 * n, n, 12)
+    M = solver.cr_sample(solver.cr_factor(D, U), unit).reshape(12 * n, 12 * n).T
+    inv = np.linalg.inv(dense_stacked(D, U))
+    np.testing.assert_allclose(M @ M.T, inv, rtol=0, atol=1e-12 * np.abs(inv).max())
+
+
+def test_cyclic_reduction_leading_axis_matches_separate_calls():
+    gen = np.random.default_rng(11)
+    D, U, b = stacked_system(gen, 43, batch=(2,))
+    z = gen.standard_normal((3, 2, 43, 12))
+    factor = solver.cr_factor(D, U)
+    x = solver.cr_solve(factor, b)
+    P, C = solver.cr_marginals(factor)
+    samples = solver.cr_sample(factor, z)
+    assert x.shape == (2, 43, 12) and P.shape == (2, 43, 12, 12) and samples.shape == (3, 2, 43, 12)
+    for r in range(2):
+        single = solver.cr_factor(D[r], U[r])
+        P_r, C_r = solver.cr_marginals(single)
+        np.testing.assert_allclose(x[r], solver.cr_solve(single, b[r]), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(P[r], P_r, rtol=0, atol=1e-15 * np.abs(P_r).max())
+        np.testing.assert_allclose(C[r], C_r, rtol=0, atol=1e-15 * np.abs(P_r).max())
+        np.testing.assert_allclose(samples[:, r], solver.cr_sample(single, z[:, r]), rtol=1e-13, atol=1e-15)
+
+
+def test_pinned_locks_match_the_ragged_assembled_system():
+    grid = prior.uniform_grid(0.8, 4)
+    eps = np.array([1.0, 0.02, -0.01, 0.3, -0.2, 0.1])
+    nodes = rollout_guess(grid, eps)
+    ms = [
+        PoseMeasurement(grid[2], se3.exp_se3(0.1 * np.ones(6)) @ nodes[2].T, 0.01 * np.eye(6)),
+        StrainMeasurement(grid[4], eps + 0.05, 0.02 * np.eye(6)),
+    ]
+    problem = solver.Problem(grid, HYPER, ms, nodes, solver.default_locks(5, tip_strain=True))
+    diag, off, rhs, _ = solver.assemble(problem, nodes)
+    A = dense_from_blocks(diag, off)[0]
+    free = ~problem.locks
+    x_ref = np.zeros((5, 12))
+    x_ref[free] = np.linalg.solve(A, np.concatenate(rhs))
+    P_ref = np.zeros((60, 60))
+    keep = np.flatnonzero(free.ravel())
+    P_ref[np.ix_(keep, keep)] = np.linalg.inv(A)
+
+    stack = prior.stack_nodes(nodes)
+    D, U, b = solver.pin(free, *solver.linearize(problem, stack.T, stack.eps)[:3])
+    factor = solver.cr_factor(D, U)
+    x = solver.cr_solve(factor, b)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-10 * np.abs(x_ref).max())
+    assert not x[problem.locks].any()
+    sol = solver.factorize(problem)
+    tol = 1e-10 * np.abs(P_ref).max()
+    for k in range(5):
+        np.testing.assert_allclose(sol.marginal_covs[k], P_ref[12 * k : 12 * k + 12, 12 * k : 12 * k + 12], atol=tol)
+    for k in range(4):
+        np.testing.assert_allclose(sol.joint_covs[k], P_ref[12 * k : 12 * k + 24, 12 * k : 12 * k + 24], atol=tol)
+
+
+@pytest.mark.parametrize("bad", [1, 3, 2, 4, 0])
+def test_cyclic_reduction_rejects_indefinite_at_every_level(bad):
+    # With 5 nodes, level 0 eliminates nodes 1 and 3, level 1 node 2,
+    # level 2 node 4, and node 0 is the root.
+    gen = np.random.default_rng(5)
+    D, U, _ = stacked_system(gen, 5)
+    D[bad] = -D[bad]
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.cr_factor(D, U)
+
+
+def test_posterior_samples_keep_every_locked_dimension_at_the_estimate():
+    problem, _ = arc_problem()
+    sol = solver.gauss_newton(problem)
+    samples = solver.sample_posterior(sol, 6, np.random.default_rng(2))
+    est = prior.stack_nodes(sol.nodes)
+    for sample in samples:
+        stack = prior.stack_nodes(sample)
+        np.testing.assert_array_equal(stack.T[0], est.T[0])
+        np.testing.assert_array_equal(stack.eps[:, 0:3], est.eps[:, 0:3])
+        np.testing.assert_array_equal(stack.eps[-1], est.eps[-1])
+        assert np.all(stack.eps[1:-1, 3:6] != est.eps[1:-1, 3:6])
