@@ -5,7 +5,7 @@ and derive every random stream from the single config seed, so rerunning
 any command with the same inputs produces byte-identical files.
 
 Exit codes: 0 success, 2 configuration or argument error, 3 solver
-non-convergence, 4 I/O error.
+non-convergence or solver error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -223,12 +223,12 @@ def cmd_sample_posterior(args) -> int:
             if any(abs(st["s"] - g) < solver.NODE_MATCH_TOL for g in grid)
         ]
         meta = document["meta"]
+        problem = solver.Problem(
+            grid, PriorHyperparams(**hyper_kwargs), measurements, nodes, locks
+        )
+        solution = solver.factorize(problem)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.solution}: malformed solution file: {exc}") from exc
-    problem = solver.Problem(
-        grid, PriorHyperparams(**hyper_kwargs), measurements, nodes, locks
-    )
-    solution = solver.factorize(problem)
     rng = np.random.default_rng(derive_seed(int(meta["seed"]), "sample-posterior"))
     samples = solver.sample_posterior(solution, args.count, rng)
     out_meta = {"seed": int(meta["seed"]), "config_hash": meta["config_hash"]}
@@ -365,6 +365,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except np.linalg.LinAlgError as exc:
+        print(f"error: solver error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

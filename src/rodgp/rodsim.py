@@ -13,10 +13,10 @@ Kinematics use the same left-increment convention as the estimator:
 dT/ds = hat6(eps) T, so simulated strains feed the prior directly.
 
 One fixed-step RK4 integrates the transported stress for a stack of base
-values. Newton shooting runs it without poses on its finite-difference
-and line-search rows at a coarse resolution; the dense shape runs it on a
-single row at the requested resolution and carries the pose along with
-the same stage strains.
+values, each with its own routed tendon stress, so a whole dataset is
+shot at once: Newton runs it without poses on the finite-difference and
+line-search rows of all configurations at a coarse resolution, and one
+dense pass at the requested resolution carries every shape's pose along.
 """
 
 from __future__ import annotations
@@ -212,13 +212,10 @@ def tendon_point_wrenches(props: RodProperties, actuation: Actuation):
     return wrenches
 
 
-def _active_tendon_stress(wrenches, s: float) -> np.ndarray:
-    """Body-frame-constant stress from tendons still routed past s."""
-    total = np.zeros(6)
-    for s_end, wrench in wrenches:
-        if s < s_end - 1e-12:
-            total = total + wrench
-    return total
+def _routed_stress(props: RodProperties, wrench_lists) -> np.ndarray:
+    """Tendon stress in each segment, (n_segments, C, 6), for C wrench lists."""
+    mids = props.segment_ends() - 0.5 * np.array(props.segment_lengths)
+    return np.array([[sum((w for e, w in ws if s < e), np.zeros(6)) for ws in wrench_lists] for s in mids])
 
 
 def _rounded_steps(props: RodProperties, steps_per_segment: int) -> int:
@@ -229,16 +226,17 @@ def _rounded_steps(props: RodProperties, steps_per_segment: int) -> int:
     return int(-(-steps_per_segment // disks) * disks)
 
 
-def _rk4(props, base_stresses, wrenches, steps_per_segment, poses=False):
+def _rk4(props, base_stresses, routed, steps_per_segment, poses=False):
     """Fixed-step RK4 from the base for a stack of transported stresses.
 
-    base_stresses is (B, 6) and its rows evolve independently. Each stage
-    strain eps = REST_STRAIN + K^-1 (sigma + routed tendon stress) drives
+    base_stresses is (B, 6) and its rows evolve independently; routed is
+    the tendon stress each row sees in each segment, (n_segments, B, 6).
+    Each stage strain eps = REST_STRAIN + K^-1 (sigma + routed) drives
     d(sigma)/ds = -curly_hat(eps)^T sigma and, when poses is set, also the
-    pose dT/ds = hat6(eps) T from T(0) = I; the pose never feeds back
-    into the stress, so shooting leaves it out. Returns the arclength of
-    every sample, the stresses (n + 1, B, 6) and the poses
-    (n + 1, B, 4, 4) or None. Non-finite rows propagate silently.
+    pose dT/ds = hat6(eps) T from T(0) = I. Shooting leaves the pose out and
+    gets the tip stresses (B, 6); with poses, returns the arclengths, the
+    stresses (n + 1, B, 6) and poses (n + 1, B, 4, 4) of every sample.
+    Non-finite rows propagate silently.
     """
     compliance = 1.0 / np.diag(stiffness(props))
     sigma = np.array(base_stresses, dtype=float)
@@ -246,35 +244,59 @@ def _rk4(props, base_stresses, wrenches, steps_per_segment, poses=False):
     # The pose rides along as 16 extra columns of one state array.
     y = np.hstack([sigma, np.tile(np.eye(4).ravel(), (rows, 1))]) if poses else sigma
 
-    def derivative(y, routed):
+    def derivative(y, tendons):
         sig = y[:, :6]
-        eps = REST_STRAIN + compliance * (sig + routed)
+        eps = REST_STRAIN + compliance * (sig + tendons)
         d_sigma = -(sig[:, None, :] @ se3.curly_hat(eps))[:, 0]
         if not poses:
             return d_sigma
         d_pose = se3.hat6(eps) @ y[:, 6:].reshape(rows, 4, 4)
         return np.concatenate([d_sigma, d_pose.reshape(rows, 16)], axis=1)
 
-    arclengths, states = [0.0], [y]
+    arclengths = [0.0]
+    if poses:  # every sample is kept, written in place
+        states = np.empty((len(props.segment_lengths) * steps_per_segment + 1, *y.shape))
+        states[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, length in zip(
-            np.concatenate([[0.0], props.segment_ends()[:-1]]), props.segment_lengths
+        for start, length, tendons in zip(
+            np.concatenate([[0.0], props.segment_ends()[:-1]]), props.segment_lengths, routed
         ):
             # The tendon stress is constant within a segment, so RK4 never
             # straddles a jump.
             h = length / steps_per_segment
-            routed = _active_tendon_stress(wrenches, start + 0.5 * h)
             for j in range(1, steps_per_segment + 1):
-                k1 = derivative(y, routed)
-                k2 = derivative(y + 0.5 * h * k1, routed)
-                k3 = derivative(y + 0.5 * h * k2, routed)
-                k4 = derivative(y + h * k3, routed)
+                k1 = derivative(y, tendons)
+                k2 = derivative(y + 0.5 * h * k1, tendons)
+                k3 = derivative(y + 0.5 * h * k2, tendons)
+                k4 = derivative(y + h * k3, tendons)
                 y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                arclengths.append(start + j * h if j < steps_per_segment else start + length)
-                states.append(y)
-    states = np.array(states)
-    pose = states[..., 6:].reshape(len(states), rows, 4, 4) if poses else None
-    return np.array(arclengths), states[..., :6], pose
+                if poses:
+                    arclengths.append(start + j * h if j < steps_per_segment else start + length)
+                    states[len(arclengths) - 1] = y
+    if not poses:
+        return y
+    return np.array(arclengths), states[..., :6], states[..., 6:].reshape(len(states), rows, 4, 4)
+
+
+def _integrate(props, base_stresses, routed, tip_wrench, steps):
+    """Dense shapes of C configurations from one RK4 pass with poses: the
+    shapes, the tip residuals sigma(S) - tip_wrench (C, 6) and, per
+    configuration, None or the ShootingError of a diverged integration."""
+    arclengths, sigma_p, T = _rk4(props, base_stresses, routed, steps, poses=True)
+    # The last sample of a segment lies past the tendons ending there.
+    past = np.concatenate([routed, np.zeros_like(routed[:1])])
+    stresses = sigma_p + past[np.arange(len(arclengths)) // steps]
+    residuals = stresses[-1] - tip_wrench
+    strains = REST_STRAIN + stresses * (1.0 / np.diag(stiffness(props)))
+    finite = np.isfinite(T).all(axis=(0, 2, 3)) & np.isfinite(stresses).all(axis=(0, 2))
+    shapes = [
+        GroundTruthShape([StateNode(*n) for n in zip(arclengths, T[:, c], strains[:, c])], stresses[:, c])
+        if ok else None
+        for c, ok in enumerate(finite)
+    ]
+    errors = [None if ok else ShootingError("rod integration diverged", residual)
+              for ok, residual in zip(finite, residuals)]
+    return shapes, residuals, errors
 
 
 def integrate_rod(
@@ -287,7 +309,8 @@ def integrate_rod(
     """Integrate pose and stress from the base with fixed-step RK4.
 
     base_stress_guess is the transported stress component at s=0 (the part
-    not attributable to routed tendons). Returns the dense shape and the
+    not attributable to routed tendons); wrenches end at segment ends, as
+    tendon_point_wrenches gives them. Returns the dense shape and the
     boundary residual sigma(S) - tip_wrench. Crossing a point-wrench
     arclength drops that wrench from the stress, i.e. the total stress
     jumps by the applied wrench as the cut passes the termination.
@@ -297,60 +320,86 @@ def integrate_rod(
     tip_wrench = np.asarray(tip_wrench, dtype=float)
     if not np.all(np.isfinite(base_stress)):
         raise ValueError("base stress guess must be finite")
-    arclengths, sigma_p, T = _rk4(props, base_stress[None, :], wrenches, steps, poses=True)
-    stresses = sigma_p[:, 0] + np.array([_active_tendon_stress(wrenches, s) for s in arclengths])
-    residual = stresses[-1] - tip_wrench
-    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(stresses))):
-        raise ShootingError("rod integration diverged", residual)
-    strains = REST_STRAIN + stresses * (1.0 / np.diag(stiffness(props)))
-    nodes = [StateNode(s, pose, eps) for s, pose, eps in zip(arclengths, T[:, 0], strains)]
-    return GroundTruthShape(nodes, stresses), residual
+    routed = _routed_stress(props, [wrenches])
+    shapes, residuals, errors = _integrate(props, base_stress[None], routed, tip_wrench[None], steps)
+    if errors[0]:
+        raise errors[0]
+    return shapes[0], residuals[0]
 
 
-def _newton_shoot(props, wrenches, tip_wrench, guess, steps_per_segment):
-    """Damped Newton on the base stress at one integration resolution.
+def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment):
+    """Damped Newton on the base stresses (C, 6) of C configurations.
 
+    Each iteration integrates the finite-difference rows of all unconverged
+    configurations in one RK4 call and their line-search rows in another.
     The forward map is stiff for large trial stresses, so each step is
     backtracked until the residual norm decreases; non-finite trial
-    residuals count as failures rather than errors.
+    residuals count as failures. Returns the roots and, per configuration,
+    None or the ShootingError it meets when shot alone.
     """
 
-    def residuals_of(guesses):
-        return _rk4(props, guesses, wrenches, steps_per_segment)[1][-1] - tip_wrench
+    def residuals_of(guesses, rows):  # (A, k, 6): k trials per configuration
+        tendons = np.repeat(routed[:, rows], guesses.shape[1], axis=1)
+        tips = _rk4(props, guesses.reshape(-1, 6), tendons, steps_per_segment)
+        return tips.reshape(guesses.shape) - tip_wrench[rows, None, :]
 
-    residual = residuals_of(guess[None, :])[0]
-    best_norm = np.max(np.abs(residual))
+    def fail(rows, message):
+        for c in rows:
+            errors[c] = ShootingError(message.format(norm=np.max(np.abs(residual[c]))), residual[c])
+
+    guess, errors = np.array(guess, dtype=float), [None] * len(guess)
+    active = np.arange(len(guess))
+    residual = residuals_of(guess[:, None, :], active)[:, 0]
     alphas = 0.5 ** np.arange(12)
     for _ in range(MAX_SHOOTING_ITERATIONS):
-        norm = np.max(np.abs(residual))
-        if norm < SHOOTING_TOL:
-            return guess
-        fd_steps = SHOOTING_FD_STEP * np.maximum(1.0, np.abs(guess))
-        bumped = guess[None, :] + np.diag(fd_steps)
-        jac = (residuals_of(bumped) - residual).T / fd_steps
-        try:
-            delta = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ShootingError("singular shooting Jacobian", residual) from exc
-        candidates = guess[None, :] + alphas[:, None] * delta[None, :]
-        trial = residuals_of(candidates)
-        trial_norms = np.max(np.abs(trial), axis=1)
-        trial_norms[~np.all(np.isfinite(trial), axis=1)] = np.inf
-        accepted = np.flatnonzero(trial_norms < norm)
-        if accepted.size == 0:
-            raise ShootingError(
-                f"shooting step failed to reduce the residual below {norm:.3e}",
-                residual,
-            )
-        pick = accepted[0]
-        guess = candidates[pick]
-        residual = trial[pick]
-        best_norm = min(best_norm, trial_norms[pick])
-    raise ShootingError(
-        f"shooting did not converge in {MAX_SHOOTING_ITERATIONS} iterations; "
-        f"best residual infinity norm {best_norm:.3e}",
-        residual,
-    )
+        norm = np.max(np.abs(residual), axis=1)
+        active = active[~(norm[active] < SHOOTING_TOL)]
+        if active.size == 0:
+            break
+        fd_steps = SHOOTING_FD_STEP * np.maximum(1.0, np.abs(guess[active]))
+        bumped = guess[active, None, :] + fd_steps[:, :, None] * np.eye(6)
+        jac = (residuals_of(bumped, active) - residual[active, None]).transpose(0, 2, 1) / fd_steps[:, None]
+        # LU meets a zero pivot in exactly the Jacobians solve rejects.
+        with np.errstate(invalid="ignore"):
+            singular = np.linalg.slogdet(jac)[0] == 0.0
+        fail(active[singular], "singular shooting Jacobian")
+        active, jac = active[~singular], jac[~singular]
+        delta = np.linalg.solve(jac, -residual[active, :, None])[..., 0]
+        candidates = guess[active, None, :] + alphas[:, None] * delta[:, None, :]
+        trial = residuals_of(candidates, active)
+        trial_norms = np.where(np.isfinite(trial).all(axis=2), np.max(np.abs(trial), axis=2), np.inf)
+        accepted = trial_norms < norm[active, None]
+        moved = accepted.any(axis=1)
+        fail(active[~moved], "shooting step failed to reduce the residual below {norm:.3e}")
+        # Each configuration takes its first accepted step size.
+        rows, pick, active = np.flatnonzero(moved), accepted[moved].argmax(axis=1), active[moved]
+        guess[active], residual[active] = candidates[rows, pick], trial[rows, pick]
+    # Accepted steps only ever lower the norm, so the last residual is the best.
+    fail(active, f"shooting did not converge in {MAX_SHOOTING_ITERATIONS} iterations; "
+         "best residual infinity norm {norm:.3e}")
+    return guess, errors
+
+
+def _solve(props: RodProperties, actuations, steps_per_segment: int) -> list:
+    """Shapes of many actuations, each as solve_static describes, solved
+    together. Raises the ShootingError of the lowest-index configuration
+    that fails, the one solve_static raises on it alone."""
+    steps = _rounded_steps(props, steps_per_segment)
+    routed = _routed_stress(props, [tendon_point_wrenches(props, a) for a in actuations])
+    tip = np.array([a.tip_wrench for a in actuations], dtype=float)
+    guess, shapes, errors = np.zeros_like(tip), [None] * len(tip), [None] * len(tip)
+    rows = list(range(len(tip)))
+    for shoot_steps in (COARSE_SHOOTING_STEPS, steps):
+        guess[rows], failed = _newton_shoot(props, routed[:, rows], tip[rows], guess[rows], shoot_steps)
+        dense, residuals, diverged = _integrate(props, guess[rows], routed[:, rows], tip[rows], steps)
+        for c, shape, f, d in zip(rows, dense, failed, diverged):
+            shapes[c], errors[c] = shape, f or d
+        rows = [c for c, r in zip(rows, residuals) if not errors[c] and np.max(np.abs(r)) >= SHOOTING_TOL]
+        if not rows:
+            break
+    for error in filter(None, errors):
+        raise error
+    return shapes
 
 
 def solve_static(
@@ -365,15 +414,7 @@ def solve_static(
     SHOOTING_TOL does Newton polish at the dense resolution, which RK4 is
     accurate enough to make rare.
     """
-    steps = _rounded_steps(props, steps_per_segment)
-    wrenches = tendon_point_wrenches(props, actuation)
-    tip_wrench = np.asarray(actuation.tip_wrench, dtype=float)
-    guess = _newton_shoot(props, wrenches, tip_wrench, np.zeros(6), COARSE_SHOOTING_STEPS)
-    shape, residual = integrate_rod(props, guess, wrenches, tip_wrench, steps)
-    if np.max(np.abs(residual)) >= SHOOTING_TOL:
-        guess = _newton_shoot(props, wrenches, tip_wrench, guess, steps)
-        shape, _ = integrate_rod(props, guess, wrenches, tip_wrench, steps)
-    return shape
+    return _solve(props, [actuation], steps_per_segment)[0]
 
 
 def sample_dataset(
@@ -390,15 +431,15 @@ def sample_dataset(
     floor(loaded_fraction * count) configurations additionally carry a tip
     wrench with force components uniform in [-0.1, 0.1] N and moment
     components uniform in [-0.01, 0.01] N*m. Per-configuration generators
-    are seeded from (seed, index), so draws are independent of count and
-    safe to fan out.
+    are seeded from (seed, index), so draws are independent of count. All
+    are shot together, bit-identical to solve_static on each draw.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if not 0.0 <= loaded_fraction <= 1.0:
         raise ValueError("loaded fraction must be within [0, 1]")
     n_loaded = int(np.floor(loaded_fraction * count))
-    dataset = []
+    actuations = []
     for index in range(count):
         rng = np.random.default_rng([int(seed), index])
         n_active = min(int(rng.integers(1, 3)), len(props.tendons))
@@ -409,9 +450,8 @@ def sample_dataset(
         if index < n_loaded:
             wrench[:3] = rng.uniform(-0.1, 0.1, size=3)
             wrench[3:] = rng.uniform(-0.01, 0.01, size=3)
-        actuation = Actuation(tuple(tensions), tuple(wrench))
-        dataset.append((actuation, solve_static(props, actuation, steps_per_segment)))
-    return dataset
+        actuations.append(Actuation(tuple(tensions), tuple(wrench)))
+    return list(zip(actuations, _solve(props, actuations, steps_per_segment)))
 
 
 class Scenario(enum.Enum):

@@ -392,3 +392,37 @@ def test_simulate_single_tendon_rod(tmp_path):
     assert code == cli.EXIT_OK
     runs = json.loads(out.read_text())["runs"]
     assert len(runs) == 2 and all(len(run["actuation"]) == 1 for run in runs)
+
+
+def test_under_constrained_estimate_exits_3_with_one_line(workdir, tmp_path, capsys):
+    # Without the root-pose lock, strain sensors alone leave the pose free.
+    config = tmp_path / "free_root.json"
+    config.write_text(
+        json.dumps(
+            {
+                "prior": {"K": 10, "M": 2},
+                "seed": 3,
+                "scenario": {"type": "strain_at_disks", "locks": {"root_pose": False}},
+            }
+        )
+    )
+    out = tmp_path / "est.json"
+    argv = ["estimate", "--config", str(config), "--dataset", str(workdir / "data.json")]
+    code = cli.main(argv + ["--run-index", "0", "--out", str(out)])
+    assert code == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sample_posterior_on_a_non_rotation_pose_exits_2(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "est.json").read_text())
+    doc["nodes"][3]["T"][0] = 5.0
+    solution = tmp_path / "bad_pose.json"
+    solution.write_text(json.dumps(doc))
+    out = tmp_path / "post.json"
+    code = cli.main(["sample-posterior", "--solution", str(solution), "--count", "2", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {solution}: malformed solution file: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -430,3 +430,85 @@ def test_extract_measurements_zero_noise_reads_truth(props, small_dataset):
             np.testing.assert_array_equal(m.T_meas, state.T)
         else:
             np.testing.assert_array_equal(m.eps_meas, state.eps)
+
+
+def assert_same_shape(batched, single):
+    np.testing.assert_array_equal(batched.sigma, single.sigma)
+    np.testing.assert_array_equal([n.T for n in batched.nodes], [n.T for n in single.nodes])
+    np.testing.assert_array_equal([n.eps for n in batched.nodes], [n.eps for n in single.nodes])
+    np.testing.assert_array_equal(batched.arclengths, single.arclengths)
+
+
+@pytest.mark.parametrize(
+    "loaded_fraction, tendons",
+    [(0.0, None), (0.5, None), (1.0, None), (0.5, ((0, 0.0),))],
+)
+def test_sample_dataset_is_solve_static_on_each_draw(loaded_fraction, tendons):
+    props = RodProperties.default()
+    if tendons is not None:
+        props = dataclasses.replace(props, tendons=tendons)
+    data = rodsim.sample_dataset(props, 12, loaded_fraction=loaded_fraction, seed=1)
+    for act, shape in data:
+        assert_same_shape(shape, rodsim.solve_static(props, act))
+
+
+def test_batch_polishes_only_the_shapes_that_miss(monkeypatch):
+    # Eight coarse steps leave the loaded roots short of the dense
+    # resolution; unloaded shapes carry no transported stress and hit.
+    props = RodProperties.default()
+    monkeypatch.setattr(rodsim, "COARSE_SHOOTING_STEPS", 8)
+    shoot = rodsim._newton_shoot
+    calls = []
+
+    def spy(props, routed, tip_wrench, guess, steps):
+        roots, errors = shoot(props, routed, tip_wrench, guess, steps)
+        calls.append((tip_wrench.copy(), steps, roots.copy()))
+        return roots, errors
+
+    monkeypatch.setattr(rodsim, "_newton_shoot", spy)
+    data = rodsim.sample_dataset(props, 6, loaded_fraction=0.5, seed=2)
+    assert [steps for _, steps, _ in calls] == [8, 203]
+    (tips, _, roots), (polished_tips, _, _) = calls
+    miss = []
+    for index, (act, root) in enumerate(zip((a for a, _ in data), roots)):
+        wrenches = rodsim.tendon_point_wrenches(props, act)
+        _, residual = rodsim.integrate_rod(props, root, wrenches, np.array(act.tip_wrench))
+        if np.max(np.abs(residual)) >= rodsim.SHOOTING_TOL:
+            miss.append(index)
+    assert miss == [0, 1, 2]
+    np.testing.assert_array_equal(polished_tips, tips[miss])
+
+    for act, shape in data:
+        np.testing.assert_allclose(shape.sigma[-1], act.tip_wrench, rtol=0, atol=rodsim.SHOOTING_TOL)
+        assert_same_shape(shape, rodsim.solve_static(props, act))
+
+
+def test_batch_raises_the_lowest_index_failure(monkeypatch):
+    props = RodProperties.default()
+    actuations = [act for act, _ in rodsim.sample_dataset(props, 12, seed=1)]
+    # Seven iterations leave configurations 1, 4 and 5 unconverged.
+    monkeypatch.setattr(rodsim, "MAX_SHOOTING_ITERATIONS", 7)
+    with pytest.raises(ShootingError) as batch:
+        rodsim.sample_dataset(props, 12, seed=1)
+    rodsim.solve_static(props, actuations[0])
+    with pytest.raises(ShootingError) as alone:
+        rodsim.solve_static(props, actuations[1])
+    assert str(batch.value) == str(alone.value)
+    assert "did not converge in 7 iterations" in str(batch.value)
+    np.testing.assert_array_equal(batch.value.residual, alone.value.residual)
+
+
+def test_singular_jacobian_is_traced_to_its_configuration(monkeypatch):
+    # A 1e-20 bump vanishes against TIP_LOADED's residual, so its Jacobian
+    # is zero; the small residual of a faint tip force still resolves it.
+    props = RodProperties.default()
+    faint = Actuation(NO_TENSION, (2e-8, 0, 0, 0, 0, 0))
+    monkeypatch.setattr(rodsim, "SHOOTING_FD_STEP", 1e-20)
+    rodsim.solve_static(props, faint)
+    with pytest.raises(ShootingError) as alone:
+        rodsim.solve_static(props, TIP_LOADED)
+    assert str(alone.value) == "singular shooting Jacobian"
+    with pytest.raises(ShootingError) as batch:
+        rodsim._solve(props, [faint, TIP_LOADED], rodsim.MIN_STEPS_PER_SEGMENT)
+    assert str(batch.value) == str(alone.value)
+    np.testing.assert_array_equal(batch.value.residual, alone.value.residual)
