@@ -143,13 +143,7 @@ def cmd_estimate(args) -> int:
     measurements = rodsim.extract_measurements(
         shape, scen_cfg.scenario, props, scen_cfg.noise, rng
     )
-    guess = None
-    if args.init == "model":
-        grid = study.estimation_grid(
-            props.total_length, scen_cfg.num_intervals, [m.s for m in measurements]
-        )
-        guess = study.model_guess(grid, shape)
-    record = study.run_single(props, shape, measurements, scen_cfg, guess)
+    record = study.run_single(props, shape, measurements, scen_cfg, args.init)
     solution = record.solution
     nodes_doc, interp_doc = [], []
     for i in range(record.arclengths.size):

@@ -42,65 +42,84 @@ def _lower(A, B):
     return out
 
 
-def query(solution: Solution, taus):
+def query(solutions, taus):
     """Posterior means and covariances at every arclength in taus.
 
     Returns (states, covs): one StateNode per arclength and an (n, 12, 12)
-    array. Arclengths on a node return copies of its estimate and marginal
-    covariance. Every other query applies the interpolation gains to the
-    knots of its interval, computed once per interval, and maps the local
-    covariance back to a left perturbation at the queried mean.
+    array; given a list of Solutions of one problem's runs, one such list
+    and array per run. Arclengths on a node return copies of its estimate
+    and marginal covariance. Every other query applies the interpolation
+    gains, which depend on the grid and the arclength only and so serve
+    every run, to the knots of its interval, computed once per interval
+    and run, and maps the local covariance back to a left perturbation at
+    the queried mean.
     """
-    grid, hyper = solution.grid, solution.hyper
+    single = isinstance(solutions, Solution)
+    batch = [solutions] if single else list(solutions)
+    problem = batch[0].problem
+    if any(solution.problem is not problem for solution in batch):
+        raise ValueError("a batch query needs the solutions of one problem")
+    grid, hyper = problem.grid, problem.hyper
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     outside = (taus < grid[0] - NODE_HIT_TOL) | (taus > grid[-1] + NODE_HIT_TOL)
     if outside.any():
         raise ValueError(f"query arclength {taus[outside][0]} outside the grid span")
-    states = [None] * taus.size
-    covs = np.empty((taus.size, 12, 12))
+    states = [[None] * taus.size for _ in batch]
+    covs = [np.empty((taus.size, 12, 12)) for _ in batch]
     hits = np.abs(taus[:, None] - grid[None, :]) <= NODE_HIT_TOL
-    for i in np.flatnonzero(hits.any(axis=1)):
-        k = int(np.argmax(hits[i]))
-        states[i], covs[i] = solution.nodes[k].copy(), solution.marginal_covs[k]
+    on_node = np.flatnonzero(hits.any(axis=1))
+    node = np.argmax(hits[on_node], axis=1)
+    for run, solution in enumerate(batch):
+        covs[run][on_node] = solution.marginal_covs[node]
+        for i, k in zip(on_node, node):
+            states[run][i] = solution.nodes[k].copy()
     inner = np.flatnonzero(~hits.any(axis=1))
     if inner.size == 0:
-        return states, covs
+        return (states[0], covs[0]) if single else (states, covs)
 
     # Knots of each interval holding a query, in the left node's frame.
     k = np.clip(np.searchsorted(grid, taus[inner], side="right") - 1, 0, grid.size - 2)
     intervals, k_local = np.unique(k, return_inverse=True)
-    nodes = stack_nodes(solution.nodes)
-    T_l, eps_l, eps_r = nodes.T[intervals], nodes.eps[intervals], nodes.eps[intervals + 1]
-    xi = se3.log_se3(nodes.T[intervals + 1] @ se3.pose_inverse(T_l))
+    stacks = [stack_nodes(solution.nodes) for solution in batch]
+    T_n, eps_n = np.stack([x.T for x in stacks]), np.stack([x.eps for x in stacks])
+    T_l, eps_l, eps_r = T_n[:, intervals], eps_n[:, intervals], eps_n[:, intervals + 1]
+    xi = se3.log_se3(T_n[:, intervals + 1] @ se3.pose_inverse(T_l))
     J_inv = se3.left_jacobian_inv(xi)
     gamma_l = np.concatenate([np.zeros_like(eps_l), eps_l], axis=-1)
     gamma_r = np.concatenate([xi, (J_inv @ eps_r[..., None])[..., 0]], axis=-1)
-    # D: the posterior joint covariance of the bracketing nodes in local
-    # coordinates, minus the knots' prior covariance in that frame (zero at
-    # the anchor). At a knot with local coordinate xi, node perturbations
-    # (dt, de) move (dxi, dpsi) by [[J_inv, 0], [0.5 curly_hat(eps) J_inv,
-    # J_inv]], the first-order coupling of the prior Jacobian.
-    G = np.zeros((intervals.size, 24, 24))
-    G[:, 0:12, 0:12] = _lower(np.broadcast_to(np.eye(6), J_inv.shape), 0.5 * se3.curly_hat(eps_l))
-    G[:, 12:24, 12:24] = _lower(J_inv, 0.5 * se3.curly_hat(eps_r) @ J_inv)
-    D = G @ solution.joint_covs[intervals] @ np.swapaxes(G, -1, -2)
-    D[:, 12:24, 12:24] -= process_cov(grid[intervals + 1] - grid[intervals], hyper)
+    # The gains and the local prior covariances depend on the grid and the
+    # arclengths only, so every run shares them.
+    gain = np.concatenate(interp_matrices(taus[inner], grid[k], grid[k + 1], hyper), axis=-1)
+    Lam, Psi = gain[..., 0:12], gain[..., 12:24]
+    Q_tau = process_cov(taus[inner] - grid[k], hyper)
+    Q_knots = process_cov(grid[intervals + 1] - grid[intervals], hyper)
 
-    # Bounded chunks keep the per-query temporaries small.
-    for lo in range(0, inner.size, QUERY_CHUNK):
-        i, k_i, j = inner[lo : lo + QUERY_CHUNK], k[lo : lo + QUERY_CHUNK], k_local[lo : lo + QUERY_CHUNK]
-        Lam, Psi = interp_matrices(taus[i], grid[k_i], grid[k_i + 1], hyper)
-        gamma = (Lam @ gamma_l[j, :, None] + Psi @ gamma_r[j, :, None])[..., 0]
-        J = se3.left_jacobian(gamma[:, 0:6])
-        eps = (J @ gamma[:, 6:12, None])[..., 0]
-        T = se3.exp_se3(gamma[:, 0:6]) @ T_l[j]
-        gain = np.concatenate([Lam, Psi], axis=-1)
-        P_local = process_cov(taus[i] - grid[k_i], hyper) + gain @ D[j] @ np.swapaxes(gain, -1, -2)
-        H = _lower(J, -0.5 * J @ se3.curly_hat(eps))
-        covs[i] = H @ P_local @ np.swapaxes(H, -1, -2)
-        for q, tau, T_q, eps_q in zip(i, taus[i], T, eps):
-            states[q] = StateNode(float(tau), T_q, eps_q)
-    return states, covs
+    G = np.zeros((intervals.size, 24, 24))
+    for run, solution in enumerate(batch):
+        # D: the run's posterior joint covariance of the bracketing nodes in
+        # local coordinates, minus the knots' prior covariance in that frame
+        # (zero at the anchor). At a knot with local coordinate xi, node
+        # perturbations (dt, de) move (dxi, dpsi) by [[J_inv, 0], [0.5
+        # curly_hat(eps) J_inv, J_inv]], the first-order coupling of the
+        # prior Jacobian.
+        G[:, 0:12, 0:12] = _lower(np.broadcast_to(np.eye(6), J_inv.shape[1:]), 0.5 * se3.curly_hat(eps_l[run]))
+        G[:, 12:24, 12:24] = _lower(J_inv[run], 0.5 * se3.curly_hat(eps_r[run]) @ J_inv[run])
+        D = G @ solution.joint_covs[intervals] @ np.swapaxes(G, -1, -2)
+        D[:, 12:24, 12:24] -= Q_knots
+        # Bounded chunks over (run, query) keep the temporaries small.
+        for lo in range(0, inner.size, QUERY_CHUNK):
+            q = slice(lo, lo + QUERY_CHUNK)
+            i, j = inner[q], k_local[q]
+            gamma = (Lam[q] @ gamma_l[run, j, :, None] + Psi[q] @ gamma_r[run, j, :, None])[..., 0]
+            J = se3.left_jacobian(gamma[:, 0:6])
+            eps = (J @ gamma[:, 6:12, None])[..., 0]
+            T = se3.exp_se3(gamma[:, 0:6]) @ T_l[run, j]
+            P_local = Q_tau[q] + gain[q] @ D[j] @ np.swapaxes(gain[q], -1, -2)
+            H = _lower(J, -0.5 * J @ se3.curly_hat(eps))
+            covs[run][i] = H @ P_local @ np.swapaxes(H, -1, -2)
+            for q_i, T_q, eps_q in zip(i, T, eps):
+                states[run][q_i] = StateNode(float(taus[q_i]), T_q, eps_q)
+    return (states[0], covs[0]) if single else (states, covs)
 
 
 def query_state(solution: Solution, tau: float) -> StateNode:

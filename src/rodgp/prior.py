@@ -120,6 +120,30 @@ def process_cov_inv(ds, hyper: PriorHyperparams) -> np.ndarray:
     return _blocks(ds, 12.0 / ds**3, -6.0 / ds**2, 4.0 / ds, np.linalg.inv(hyper.Qc))
 
 
+def prior_terms(prev: StateNode, cur: StateNode) -> tuple:
+    """(prior_error, prior_error_jacobian) of each interval from one pass:
+    both need the relative pose T_k T_{k-1}^-1, its log and the inverse
+    left Jacobian of that log."""
+    ds = np.asarray(cur.s - prev.s, dtype=float)[..., None]
+    rel = cur.T @ se3.pose_inverse(prev.T)
+    xi = se3.log_se3(rel)
+    J_inv = se3.left_jacobian_inv(xi)
+    strain = (J_inv @ cur.eps[..., None])[..., 0]
+    e = np.concatenate([xi - ds * prev.eps, strain - prev.eps], axis=-1)
+
+    half_curly = 0.5 * se3.curly_hat(cur.eps)
+    E = np.zeros(J_inv.shape[:-2] + (12, 24))
+    J_inv_T = J_inv @ se3.adjoint(rel)
+    E[..., 0:6, 0:6] = -J_inv_T
+    E[..., 0:6, 6:12] = -ds[..., None] * np.eye(6)
+    E[..., 0:6, 12:18] = J_inv
+    E[..., 6:12, 0:6] = -half_curly @ J_inv_T
+    E[..., 6:12, 6:12] = -np.eye(6)
+    E[..., 6:12, 12:18] = half_curly @ J_inv
+    E[..., 6:12, 18:24] = J_inv
+    return e, E
+
+
 def prior_error(prev: StateNode, cur: StateNode) -> np.ndarray:
     """12-vector prior error of one interval, zero on constant-strain rollouts.
 
@@ -127,10 +151,7 @@ def prior_error(prev: StateNode, cur: StateNode) -> np.ndarray:
     J(log(T_k T_{k-1}^-1))^-1 eps_k - eps_{k-1}. Stacked nodes give one
     error per interval.
     """
-    ds = np.asarray(cur.s - prev.s, dtype=float)[..., None]
-    xi = se3.log_se3(cur.T @ se3.pose_inverse(prev.T))
-    strain = (se3.left_jacobian_inv(xi) @ cur.eps[..., None])[..., 0]
-    return np.concatenate([xi - ds * prev.eps, strain - prev.eps], axis=-1)
+    return prior_terms(prev, cur)[0]
 
 
 def prior_error_jacobian(prev: StateNode, cur: StateNode) -> np.ndarray:
@@ -142,23 +163,7 @@ def prior_error_jacobian(prev: StateNode, cur: StateNode) -> np.ndarray:
     inverse-Jacobian derivative, which is the form the solver consumes; it
     is accurate to first order in the inter-node twist.
     """
-    ds = np.asarray(cur.s - prev.s, dtype=float)[..., None, None]
-    rel = cur.T @ se3.pose_inverse(prev.T)
-    xi = se3.log_se3(rel)
-    J_inv = se3.left_jacobian_inv(xi)
-    T_adj = se3.adjoint(rel)
-    half_curly = 0.5 * se3.curly_hat(cur.eps)
-
-    E = np.zeros(J_inv.shape[:-2] + (12, 24))
-    J_inv_T = J_inv @ T_adj
-    E[..., 0:6, 0:6] = -J_inv_T
-    E[..., 0:6, 6:12] = -ds * np.eye(6)
-    E[..., 0:6, 12:18] = J_inv
-    E[..., 6:12, 0:6] = -half_curly @ J_inv_T
-    E[..., 6:12, 6:12] = -np.eye(6)
-    E[..., 6:12, 12:18] = half_curly @ J_inv
-    E[..., 6:12, 18:24] = J_inv
-    return E
+    return prior_terms(prev, cur)[1]
 
 
 def prior_cost(errors, grid, hyper: PriorHyperparams) -> float:

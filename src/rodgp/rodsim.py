@@ -167,13 +167,25 @@ class GroundTruthShape:
         self.sigma = np.asarray(self.sigma, dtype=float)
         if self.sigma.shape != (len(self.nodes), 6):
             raise ValueError("need one 6-vector stress per node")
+        if np.any(np.diff(self.arclengths) < 0):
+            raise ValueError("dense samples must ascend in arclength")
 
     @functools.cached_property
     def arclengths(self) -> np.ndarray:
         return np.array([node.s for node in self.nodes])
 
     def nearest_index(self, s: float) -> int:
-        return int(np.argmin(np.abs(self.arclengths - s)))
+        return int(self.nearest_indices(s))
+
+    def nearest_indices(self, s) -> np.ndarray:
+        """Index of the dense sample nearest to each arclength in s, a tie
+        going to the lower index as in np.argmin over all samples. The
+        samples ascend, so the nearest one is the first at or past s or
+        the first of the samples equal to the one before it."""
+        a, s = self.arclengths, np.asarray(s, dtype=float)
+        right = np.clip(np.searchsorted(a, s), 1, a.size - 1)
+        left = np.searchsorted(a, a[right - 1])
+        return np.where(np.abs(a[right] - s) < np.abs(a[left] - s), right, left)
 
     def state_at(self, s: float) -> StateNode:
         """State at the dense sample nearest to s."""

@@ -10,7 +10,9 @@ posterior samples; nothing ever forms the dense system.
 Locked sub-states (boundary conditions) are pinned rather than deleted: a
 locked dimension gets a unit diagonal, zero coupling and a zero right-hand
 side, and its entries of the step and of the covariances are zeroed
-afterwards. Every node block keeps all 12 dimensions, so systems stack.
+afterwards. Every node block keeps all 12 dimensions, so systems stack:
+the runs of one problem (a batch on one grid) are linearised, factored
+and solved together, each stopping on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import measurements as meas_mod
 from . import se3
-from .prior import PriorHyperparams, StateNode, prior_error, prior_error_jacobian, process_cov_inv
+from .prior import PriorHyperparams, StateNode, prior_terms, process_cov_inv
 from .prior import stack_nodes, validate_grid
 
 # Measurement arclengths must coincide with grid nodes within this tolerance.
@@ -51,20 +53,30 @@ def default_locks(
     return locks
 
 
-def _stack_measurements(measurements, node_index, kind):
-    """Node indices, measured values, and R^-1 on the masked components
-    embedded in 6x6 zeros, of every measurement of one kind, as arrays."""
-    picked = [(m, k) for m, k in zip(measurements, node_index) if isinstance(m, kind)]
-    info = np.zeros((len(picked), 6, 6))
-    for i, (m, _) in enumerate(picked):
+def _stack_measurements(runs, node_index, kind):
+    """Node indices and R^-1 on the masked components embedded in 6x6
+    zeros, shared by every run, and the (R, m, ...) measured values, of
+    every measurement of one kind."""
+    picked = [[m for m in measurements if isinstance(m, kind)] for measurements in runs]
+    layouts = [[(node_index(m.s), m.R.tobytes(), m.mask.tobytes()) for m in ms] for ms in picked]
+    if any(layout != layouts[0] for layout in layouts):
+        raise ValueError("the runs of a batch must share their measurement nodes, kinds and covariances")
+    info = np.zeros((len(picked[0]), 6, 6))
+    for i, m in enumerate(picked[0]):
         info[i][np.ix_(m.mask, m.mask)] = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
-    values = [m.T_meas if kind is meas_mod.PoseMeasurement else m.eps_meas for m, _ in picked]
-    return np.array([k for _, k in picked], dtype=int), np.array(values), info
+    values = [[m.T_meas if kind is meas_mod.PoseMeasurement else m.eps_meas for m in ms] for ms in picked]
+    return np.array([k for k, _, _ in layouts[0]], dtype=int), info, np.array(values)
 
 
 @dataclass
 class Problem:
-    """Estimation problem: grid, prior, measurements, initial guess, locks."""
+    """Estimation problem: grid, prior, measurements, initial guess, locks.
+
+    measurements and initial_guess are one run's lists, or a batch: lists
+    of R such lists, one per run. Every run shares the grid, the prior, the
+    locks, the measurement nodes and their R^-1, which are held once; the
+    measured values and the initial guesses are held as (R, ...) stacks.
+    """
 
     grid: np.ndarray
     hyper: PriorHyperparams
@@ -77,12 +89,19 @@ class Problem:
     def __post_init__(self):
         self.grid = validate_grid(self.grid)
         n = self.grid.size
-        if len(self.initial_guess) != n:
+        self.batched = bool(self.initial_guess) and not isinstance(self.initial_guess[0], StateNode)
+        measurements, guesses = self.measurements, self.initial_guess
+        if not self.batched:
+            measurements, guesses = [measurements], [guesses]
+        if len(measurements) != len(guesses):
+            raise ValueError("need one measurement list per initial guess")
+        if any(len(guess) != n for guess in guesses):
             raise ValueError(f"initial guess must have {n} nodes")
-        guess = stack_nodes(self.initial_guess)
-        if np.any(np.abs(guess.s - self.grid) > NODE_MATCH_TOL):
+        flat = stack_nodes([node for guess in guesses for node in guess])
+        self.guess = StateNode(flat.s.reshape(-1, n), flat.T.reshape(-1, n, 4, 4), flat.eps.reshape(-1, n, 6))
+        if np.any(np.abs(self.guess.s - self.grid) > NODE_MATCH_TOL):
             raise ValueError("initial guess arclengths must match the grid")
-        se3.check_pose(guess.T)
+        se3.check_pose(self.guess.T)
         if self.locks is None:
             self.locks = default_locks(n)
         self.locks = np.array(self.locks, dtype=bool)
@@ -90,11 +109,12 @@ class Problem:
             raise ValueError(f"locks must be {(n, 12)}, got {self.locks.shape}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        self.meas_node = [self._node_index(m.s) for m in self.measurements]
+        self.meas_node = [self._node_index(m.s) for m in measurements[0]]
         self.pose_stack, self.strain_stack = (
-            _stack_measurements(self.measurements, self.meas_node, kind)
+            _stack_measurements(measurements, self._node_index, kind)
             for kind in (meas_mod.PoseMeasurement, meas_mod.StrainMeasurement)
         )
+        self.prior_info = process_cov_inv(np.diff(self.grid), self.hyper)
 
     def _node_index(self, s: float) -> int:
         k = int(np.argmin(np.abs(self.grid - s)))
@@ -103,45 +123,49 @@ class Problem:
         return k
 
 
-def linearize(problem: Problem, T, eps):
+def linearize(problem: Problem, T, eps, runs=slice(None)):
     """Normal equations without locks, and the cost, at the operating point.
 
-    One stacked pass over all intervals and measurements at poses T (n, 4, 4)
-    and strains eps (n, 6). Returns (H_diag, H_off, b, cost): the (n, 12, 12)
-    diagonal blocks, the (n - 1, 12, 12) blocks coupling nodes k and k + 1,
-    minus the gradient (n, 12), and the prior plus measurement cost.
+    One stacked pass over all intervals and measurements of the problem's
+    runs `runs` at poses T (R, n, 4, 4) and strains eps (R, n, 6); a
+    one-run problem also takes T (n, 4, 4) and eps (n, 6) and drops the run
+    axis. Returns (H_diag, H_off, b, cost): the (R, n, 12, 12) diagonal
+    blocks, the (R, n - 1, 12, 12) blocks coupling nodes k and k + 1,
+    minus the gradient (R, n, 12), and the (R,) prior plus measurement
+    costs.
     """
+    if T.ndim == 3:
+        return tuple(out[0] for out in linearize(problem, T[None], eps[None], runs))
     grid, n = problem.grid, problem.grid.size
-    prev = StateNode(grid[:-1], T[:-1], eps[:-1])
-    cur = StateNode(grid[1:], T[1:], eps[1:])
-    e = prior_error(prev, cur)
-    E = prior_error_jacobian(prev, cur)
-    Qi = process_cov_inv(np.diff(grid), problem.hyper)
-    Qi_e = np.einsum("kij,kj->ki", Qi, e)
-    A = np.einsum("kai,kab,kbj->kij", E, Qi, E, optimize=True)
-    g = np.einsum("kai,ka->ki", E, Qi_e)
-    H_diag = np.zeros((n, 12, 12))
-    H_diag[:-1] += A[:, 0:12, 0:12]
-    H_diag[1:] += A[:, 12:24, 12:24]
-    b = np.zeros((n, 12))
-    b[:-1] -= g[:, 0:12]
-    b[1:] -= g[:, 12:24]
-    cost = 0.5 * float(np.sum(e * Qi_e))
+    e, E = prior_terms(
+        StateNode(grid[:-1], T[:, :-1], eps[:, :-1]), StateNode(grid[1:], T[:, 1:], eps[:, 1:])
+    )
+    # The interval couples node k (first 12 columns of E) to node k + 1.
+    E_prev, E_cur = E[..., 0:12], E[..., 12:24]
+    Qi_e = problem.prior_info @ e[..., None]
+    H_diag = np.zeros(T.shape[:1] + (n, 12, 12))
+    H_diag[:, :-1] += _t(E_prev) @ problem.prior_info @ E_prev
+    H_diag[:, 1:] += _t(E_cur) @ problem.prior_info @ E_cur
+    b = np.zeros(T.shape[:1] + (n, 12))
+    b[:, :-1] -= (_t(E_prev) @ Qi_e)[..., 0]
+    b[:, 1:] -= (_t(E_cur) @ Qi_e)[..., 0]
+    H_off = _t(E_prev) @ problem.prior_info @ E_cur
+    cost = 0.5 * np.sum(e * Qi_e[..., 0], axis=(-2, -1))
 
     # Measurement factors; R^-1 is embedded so masked-out rows weigh zero.
-    for (node, value, info), kind in ((problem.pose_stack, "pose"), (problem.strain_stack, "strain")):
+    for (node, info, values), kind in ((problem.pose_stack, "pose"), (problem.strain_stack, "strain")):
         if node.size == 0:
             continue
-        E = np.zeros((node.size, 6, 12))
+        E = np.zeros(T.shape[:1] + (node.size, 6, 12))
         if kind == "pose":
-            e, E[:, :, 0:6] = meas_mod.pose_residual(value, T[node])
+            e, E[..., 0:6] = meas_mod.pose_residual(values[runs], T[:, node])
         else:
-            e, E[:, :, 6:12] = value - eps[node], -np.eye(6)
-        info_e = np.einsum("mij,mj->mi", info, e)
-        np.add.at(H_diag, node, np.einsum("mai,mab,mbj->mij", E, info, E))
-        np.add.at(b, node, -np.einsum("mai,ma->mi", E, info_e))
-        cost += 0.5 * float(np.sum(e * info_e))
-    return H_diag, A[:, 0:12, 12:24], b, cost
+            e, E[..., 6:12] = values[runs] - eps[:, node], -np.eye(6)
+        info_e = (info @ e[..., None])[..., 0]
+        np.add.at(H_diag, (slice(None), node), _t(E) @ info @ E)
+        np.add.at(b, (slice(None), node), -(_t(E) @ info_e[..., None])[..., 0])
+        cost += 0.5 * np.sum(e * info_e, axis=(-2, -1))
+    return H_diag, H_off, b, cost
 
 
 def assemble(problem: Problem, nodes):
@@ -314,7 +338,8 @@ def block_tridiag_marginals(factor, free):
 
 @dataclass
 class Solution:
-    """Converged estimate with marginal covariances and factor data."""
+    """Converged estimate with marginal covariances and factor data, and
+    the problem it was solved in (for a batch, the problem of all runs)."""
 
     nodes: list
     marginal_covs: np.ndarray
@@ -334,71 +359,118 @@ class Solution:
         return self.problem.hyper
 
 
-def gauss_newton(problem: Problem) -> Solution:
-    """Full-step Gauss-Newton with lock-aware block-tridiagonal solves.
+def _factor(D, U, runs, errors):
+    """cr_factor of the pinned systems (R, ...) of `runs`, and the indices
+    of the systems it holds: a run whose own system is not positive
+    definite is left out, its numpy.linalg.LinAlgError filed in errors."""
+    try:
+        return cr_factor(D, U), np.arange(len(runs))
+    except np.linalg.LinAlgError:
+        keep = []
+        for i, run in enumerate(runs):
+            try:
+                cr_factor(D[i], U[i])
+                keep.append(i)
+            except np.linalg.LinAlgError as exc:
+                errors[run] = exc
+        return cr_factor(D[keep], U[keep]), np.array(keep, dtype=int)
 
-    Convergence is declared when the update infinity-norm drops below
-    problem.step_tol. A cost increase along the way flags the run as not
-    converged even if the step criterion is met later.
+
+def raise_failed(results) -> list:
+    """The results of a batch, after raising the first run's LinAlgError."""
+    for result in results:
+        if isinstance(result, np.linalg.LinAlgError):
+            raise result
+    return results
+
+
+def gauss_newton(problem: Problem):
+    """Full-step Gauss-Newton with lock-aware block-tridiagonal solves,
+    over every run of the problem at once.
+
+    Each iteration factors and solves the systems of the runs still active
+    in one cyclic-reduction call. A run freezes when its update
+    infinity-norm drops below problem.step_tol (converged) or after
+    problem.max_iters iterations; a cost increase along the way flags it
+    as not converged even if the step criterion is met later. Returns the
+    Solution of a one-run problem, raising numpy.linalg.LinAlgError when
+    its system is not positive definite (under-constrained); for a batch,
+    one Solution or LinAlgError per run, in run order.
     """
-    x = stack_nodes(problem.initial_guess)
-    system = linearize(problem, x.T, x.eps)
-    cost_history = [system[3]]
-    converged = False
-    monotone = True
-    iterations = 0
-    free = ~problem.locks
+    T, eps = problem.guess.T.copy(), problem.guess.eps.copy()
+    H_diag, H_off, b, cost = linearize(problem, T, eps)
+    cost_history = [[c] for c in cost.tolist()]
+    runs = len(cost_history)
+    iterations, converged, monotone = np.zeros(runs, dtype=int), np.zeros(runs, dtype=bool), np.ones(runs, dtype=bool)
+    active, errors, free = np.arange(runs), {}, ~problem.locks
 
     for _ in range(problem.max_iters):
-        D, U, b = pin(free, *system[:3])
-        full = np.where(free, cr_solve(cr_factor(D, U), b), 0.0)
-        x.T = se3.exp_se3(full[:, 0:6]) @ x.T
-        x.eps = x.eps + full[:, 6:12]
-        iterations += 1
+        if active.size == 0:
+            break
+        D, U, rhs = pin(free, H_diag[active], H_off[active], b[active])
+        factor, keep = _factor(D, U, active, errors)
+        active = active[keep]
+        full = np.where(free, cr_solve(factor, rhs[keep]), 0.0)
+        T[active] = se3.exp_se3(full[..., 0:6]) @ T[active]
+        eps[active] += full[..., 6:12]
+        iterations[active] += 1
         # The pass that linearises the new nodes also prices them.
-        system = linearize(problem, x.T, x.eps)
+        H_diag[active], H_off[active], b[active], cost = linearize(problem, T[active], eps[active], active)
         # The slack absorbs cost-evaluation noise from exp/log roundtrips
         # near convergence; genuine overshoots are orders larger.
-        if system[3] > cost_history[-1] * (1.0 + 1e-6) + 1e-12:
-            monotone = False
-        cost_history.append(system[3])
-        if np.max(np.abs(full)) < problem.step_tol:
-            converged = True
-            break
+        for run, c in zip(active, cost.tolist()):
+            monotone[run] &= not c > cost_history[run][-1] * (1.0 + 1e-6) + 1e-12
+            cost_history[run].append(c)
+        done = np.max(np.abs(full), axis=(-2, -1)) < problem.step_tol
+        converged[active[done]] = True
+        active = active[~done]
 
-    return _finalize(problem, x, system, cost_history, iterations, converged and monotone)
+    results = _finalize(problem, T, eps, (H_diag, H_off), cost_history, iterations, converged & monotone, errors)
+    return results if problem.batched else raise_failed(results)[0]
 
 
-def _finalize(problem, x, system, cost_history, iterations, converged) -> Solution:
-    """Factor the system linearised at the stacked nodes x and package the
-    Solution: (n, 12, 12) marginals and (n - 1, 24, 24) joints of adjacent
-    nodes, zero on the locked dimensions."""
+def _finalize(problem, T, eps, system, cost_history, iterations, converged, errors) -> list:
+    """Factor the systems linearised at the runs' final nodes (T, eps) in
+    one call and package one Solution per run: (n, 12, 12) marginals and
+    (n - 1, 24, 24) joints of adjacent nodes, zero on the locked
+    dimensions. A run whose system is not positive definite, here or in
+    an earlier iteration, gets its LinAlgError in place of a Solution."""
     free = ~problem.locks
-    factor = cr_factor(*pin(free, *system[:3])[:2])
+    runs = np.array([run for run in range(len(T)) if run not in errors], dtype=int)
+    D, U, _ = pin(free, system[0][runs], system[1][runs], np.zeros(free.shape))
+    factor, keep = _factor(D, U, runs, errors)
+    results = [errors.get(run) for run in range(len(T))]
     diag_mask, off_mask = _block_masks(free)
-    P, C = cr_marginals(factor)
-    marg, off = np.where(diag_mask, P, 0.0), np.where(off_mask, C, 0.0)
-    return Solution(
-        nodes=[StateNode(node.s, T, eps) for node, T, eps in zip(problem.initial_guess, x.T, x.eps)],
-        marginal_covs=marg,
-        joint_covs=np.block([[marg[:-1], off], [_t(off), marg[1:]]]),
-        cost_history=cost_history,
-        iterations=iterations,
-        converged=converged,
-        problem=problem,
-        factor=factor,
-    )
+    marg, off = cr_marginals(factor)
+    np.copyto(marg, 0.0, where=~diag_mask)
+    np.copyto(off, 0.0, where=~off_mask)
+    for i, run in enumerate(runs[keep]):
+        results[run] = Solution(
+            nodes=[StateNode(s, T_k, eps_k) for s, T_k, eps_k in zip(problem.guess.s[run], T[run], eps[run])],
+            marginal_covs=marg[i],
+            joint_covs=np.block([[marg[i, :-1], off[i]], [_t(off[i]), marg[i, 1:]]]),
+            cost_history=cost_history[run],
+            iterations=int(iterations[run]),
+            converged=bool(converged[run]),
+            problem=problem,
+            factor=([(Li[i], W[i]) for Li, W in factor[0]], factor[1][i]),
+        )
+    return results
 
 
-def factorize(problem: Problem) -> Solution:
-    """Solution at the initial guess without iterating.
+def factorize(problem: Problem):
+    """Solution at the initial guess without iterating, one per run as in
+    gauss_newton.
 
     Rebuilds covariance factors at an already-converged estimate, e.g.
     one loaded back from a result file for posterior sampling.
     """
-    x = stack_nodes(problem.initial_guess)
-    system = linearize(problem, x.T, x.eps)
-    return _finalize(problem, x, system, [system[3]], 0, True)
+    guess = problem.guess
+    system = linearize(problem, guess.T, guess.eps)
+    runs = guess.T.shape[0]
+    history = [[c] for c in system[3].tolist()]
+    results = _finalize(problem, guess.T, guess.eps, system, history, np.zeros(runs), np.ones(runs, dtype=bool), {})
+    return results if problem.batched else raise_failed(results)[0]
 
 
 def sample_posterior(solution: Solution, count: int, rng):

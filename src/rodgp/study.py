@@ -92,7 +92,7 @@ def straight_guess(grid, hyper: PriorHyperparams) -> list:
 
 def model_guess(grid, shape: rodsim.GroundTruthShape) -> list:
     """Initial guess read off a simulated shape at the grid arclengths."""
-    states = [shape.state_at(s) for s in grid]
+    states = [shape.nodes[i] for i in shape.nearest_indices(grid)]
     return [StateNode(float(s), state.T, state.eps) for s, state in zip(grid, states)]
 
 
@@ -150,39 +150,46 @@ class StudyResult:
     failures: list = field(default_factory=list)
 
 
-def _problem(config: ScenarioConfig, grid, measurements, initial_guess) -> solver.Problem:
+def _problem(config: ScenarioConfig, grid, measurements, guesses) -> solver.Problem:
+    """The batch problem of runs on one grid: a measurement list and an
+    initial guess per run."""
     locks = config.locks(grid.size)
-    return solver.Problem(
-        grid, config.hyperparams(), measurements, initial_guess, locks, config.max_iters, config.step_tol
-    )
+    return solver.Problem(grid, config.hyperparams(), measurements, guesses, locks, config.max_iters, config.step_tol)
 
 
-def run_single(
-    props, shape, measurements, config: ScenarioConfig, initial_guess=None
-) -> EstimateRecord:
-    """Estimate one configuration and match it against its ground truth."""
-    hyper = config.hyperparams()
-    grid = estimation_grid(
-        props.total_length, config.num_intervals, [m.s for m in measurements]
-    )
-    if initial_guess is None:
-        initial_guess = straight_guess(grid, hyper)
-    solution = solver.gauss_newton(_problem(config, grid, measurements, initial_guess))
+def _estimate(props, shapes, measurements, config: ScenarioConfig, grid, guesses) -> list:
+    """Solve, query and score runs that share one grid as one batch: an
+    EstimateRecord per run, or the LinAlgError of a run whose system is
+    not positive definite, in run order."""
+    results = solver.gauss_newton(_problem(config, grid, measurements, guesses))
+    solved = [run for run, result in enumerate(results) if isinstance(result, solver.Solution)]
+    if not solved:
+        return results
     taus, is_node = query_points(grid, config.states_per_interval)
-    states, covs = interpolation.query(solution, taus)
-    truth = [shape.state_at(t) for t in taus]
-    pos_err, ang_err = pose_errors(stack_nodes(states), stack_nodes(truth))
-    return EstimateRecord(
-        index=-1,
-        solution=solution,
-        arclengths=taus,
-        is_node=is_node,
-        states=states,
-        covs=covs,
-        truth=truth,
-        pos_err=pos_err,
-        ang_err=ang_err,
-    )
+    states, covs = interpolation.query([results[run] for run in solved], taus)
+    truth = [[shapes[run].nodes[i] for i in shapes[run].nearest_indices(taus)] for run in solved]
+    flat = [stack_nodes([node for nodes in runs for node in nodes]) for runs in (states, truth)]
+    pos_err, ang_err = (err.reshape(len(solved), taus.size) for err in pose_errors(*flat))
+    for i, run in enumerate(solved):
+        results[run] = EstimateRecord(
+            -1, results[run], taus, is_node, states[i], covs[i], truth[i], pos_err[i], ang_err[i]
+        )
+    return results
+
+
+def run_single(props, shape, measurements, config: ScenarioConfig, initial_guess=None) -> EstimateRecord:
+    """Estimate one configuration and match it against its ground truth.
+
+    initial_guess is a node list on the estimation grid, or "straight"
+    (also None) for the prior-mean rollout or "model" to read it off
+    shape, built on that grid. This is the one-run case of run_study.
+    """
+    grid = estimation_grid(props.total_length, config.num_intervals, [m.s for m in measurements])
+    if initial_guess == "model":
+        initial_guess = model_guess(grid, shape)
+    elif initial_guess is None or initial_guess == "straight":
+        initial_guess = straight_guess(grid, config.hyperparams())
+    return solver.raise_failed(_estimate(props, [shape], [measurements], config, grid, [initial_guess]))[0]
 
 
 def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
@@ -190,28 +197,36 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
 
     Each configuration gets an independent measurement-noise stream
     derived from (config.seed, run index), so results are reproducible
-    and independent of the dataset size.
+    and independent of the dataset size. Runs whose measurements give the
+    same estimation grid are solved, queried and scored as one batch.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
-    records, failures = [], []
-    for index, (_, shape) in enumerate(dataset):
-        rng = np.random.default_rng([config.seed, index])
-        measurements = rodsim.extract_measurements(
-            shape, config.scenario, props, config.noise, rng
+    measurements = [
+        rodsim.extract_measurements(
+            shape, config.scenario, props, config.noise, np.random.default_rng([config.seed, index])
         )
-        try:
-            record = run_single(props, shape, measurements, config)
-        except np.linalg.LinAlgError as exc:
-            failures.append((index, f"solver error: {exc}"))
-            continue
-        if not record.solution.converged:
-            failures.append(
-                (index, f"no convergence in {record.solution.iterations} iterations")
-            )
-            continue
-        record.index = index
-        records.append(record)
+        for index, (_, shape) in enumerate(dataset)
+    ]
+    batches = {}
+    for index, ms in enumerate(measurements):
+        grid = estimation_grid(props.total_length, config.num_intervals, [m.s for m in ms])
+        batches.setdefault(grid.tobytes(), (grid, []))[1].append(index)
+    outcome = {}
+    for grid, runs in batches.values():
+        guesses = [straight_guess(grid, config.hyperparams())] * len(runs)
+        shapes = [dataset[index][1] for index in runs]
+        outcome.update(zip(runs, _estimate(props, shapes, [measurements[i] for i in runs], config, grid, guesses)))
+    records, failures = [], []
+    for index in range(len(dataset)):
+        record = outcome[index]
+        if isinstance(record, np.linalg.LinAlgError):
+            failures.append((index, f"solver error: {record}"))
+        elif not record.solution.converged:
+            failures.append((index, f"no convergence in {record.solution.iterations} iterations"))
+        else:
+            record.index = index
+            records.append(record)
     if not records:
         raise RuntimeError(f"every run failed: {failures}")
     pos = np.stack([r.pos_err for r in records])
@@ -313,10 +328,9 @@ def initial_guess_study(props, actuation, config: ScenarioConfig) -> InitialGues
     grid = estimation_grid(
         props.total_length, config.num_intervals, [m.s for m in measurements]
     )
-    solutions = [
-        solver.gauss_newton(_problem(config, grid, measurements, guess))
-        for guess in (straight_guess(grid, hyper), model_guess(grid, shape))
-    ]
+    # Both guesses share the grid and the measurements: one batch of two.
+    guesses = [straight_guess(grid, hyper), model_guess(grid, shape)]
+    solutions = solver.raise_failed(solver.gauss_newton(_problem(config, grid, [measurements] * 2, guesses)))
     tip_truth = shape.state_at(props.total_length)
     return InitialGuessReport(
         straight=solutions[0],
