@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import interpolation, rodsim, solver, study
+from . import interpolation, rodsim, se3, solver, study
 from .config import ConfigError, RunConfig, derive_seed, load_config, measurement_rng
 from .measurements import PoseMeasurement, StrainMeasurement
 from .prior import PriorHyperparams, StateNode, sample_prior, uniform_grid
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, se3.BranchError) as exc:
         print(f"error: solver error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except RuntimeError as exc:

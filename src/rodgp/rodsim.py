@@ -13,10 +13,10 @@ Kinematics use the same left-increment convention as the estimator:
 dT/ds = hat6(eps) T, so simulated strains feed the prior directly.
 
 One fixed-step RK4 integrates the transported stress for a stack of base
-values, each with its own routed tendon stress, so a whole dataset is
-shot at once: Newton runs it without poses on the finite-difference and
-line-search rows of all configurations at a coarse resolution, and one
-dense pass at the requested resolution carries every shape's pose along.
+values, each with its own routed tendon stress, so a whole dataset is shot
+at once: a Newton iteration is mostly one coarse sweep without poses over
+the step trials and next finite differences of all configurations, and
+one dense pass at the requested resolution carries every shape's pose.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ MIN_STEPS_PER_SEGMENT = 200
 COARSE_SHOOTING_STEPS = 128
 # Undeformed rod: unit stretch along the local x axis, no shear or curvature.
 REST_STRAIN = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+# -curly_hat(eps)^T sigma as the product (sigma_i eps_k)_{6 i + k} @ _STRESS_RATE.
+_STRESS_RATE = -np.swapaxes(se3.curly_hat(np.eye(6)), 0, 1).reshape(36, 6)
 
 
 @dataclass(frozen=True)
@@ -243,9 +245,9 @@ def _rk4(props, base_stresses, routed, steps_per_segment, poses=False):
 
     base_stresses is (B, 6) and its rows evolve independently; routed is
     the tendon stress each row sees in each segment, (n_segments, B, 6).
-    Each stage strain eps = REST_STRAIN + K^-1 (sigma + routed) drives
-    d(sigma)/ds = -curly_hat(eps)^T sigma and, when poses is set, also the
-    pose dT/ds = hat6(eps) T from T(0) = I. Shooting leaves the pose out and
+    Each stage strain eps = (REST_STRAIN + K^-1 routed) + K^-1 sigma, the
+    bracket fixed per segment, drives d(sigma)/ds = -curly_hat(eps)^T sigma
+    and, when poses is set, also the pose dT/ds = hat6(eps) T from T(0) = I. Shooting leaves the pose out and
     gets the tip stresses (B, 6); with poses, returns the arclengths, the
     stresses (n + 1, B, 6) and poses (n + 1, B, 4, 4) of every sample.
     Non-finite rows propagate silently.
@@ -256,10 +258,10 @@ def _rk4(props, base_stresses, routed, steps_per_segment, poses=False):
     # The pose rides along as 16 extra columns of one state array.
     y = np.hstack([sigma, np.tile(np.eye(4).ravel(), (rows, 1))]) if poses else sigma
 
-    def derivative(y, tendons):
+    def derivative(y, offset):
         sig = y[:, :6]
-        eps = REST_STRAIN + compliance * (sig + tendons)
-        d_sigma = -(sig[:, None, :] @ se3.curly_hat(eps))[:, 0]
+        eps = offset + compliance * sig
+        d_sigma = (sig[:, :, None] * eps[:, None, :]).reshape(rows, 36) @ _STRESS_RATE
         if not poses:
             return d_sigma
         d_pose = se3.hat6(eps) @ y[:, 6:].reshape(rows, 4, 4)
@@ -275,12 +277,12 @@ def _rk4(props, base_stresses, routed, steps_per_segment, poses=False):
         ):
             # The tendon stress is constant within a segment, so RK4 never
             # straddles a jump.
-            h = length / steps_per_segment
+            h, offset = length / steps_per_segment, REST_STRAIN + compliance * tendons
             for j in range(1, steps_per_segment + 1):
-                k1 = derivative(y, tendons)
-                k2 = derivative(y + 0.5 * h * k1, tendons)
-                k3 = derivative(y + 0.5 * h * k2, tendons)
-                k4 = derivative(y + h * k3, tendons)
+                k1 = derivative(y, offset)
+                k2 = derivative(y + 0.5 * h * k1, offset)
+                k3 = derivative(y + 0.5 * h * k2, offset)
+                k4 = derivative(y + h * k3, offset)
                 y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if poses:
                     arclengths.append(start + j * h if j < steps_per_segment else start + length)
@@ -342,12 +344,14 @@ def integrate_rod(
 def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment):
     """Damped Newton on the base stresses (C, 6) of C configurations.
 
-    Each iteration integrates the finite-difference rows of all unconverged
-    configurations in one RK4 call and their line-search rows in another.
     The forward map is stiff for large trial stresses, so each step is
-    backtracked until the residual norm decreases; non-finite trial
-    residuals count as failures. Returns the roots and, per configuration,
-    None or the ShootingError it meets when shot alone.
+    backtracked over 12 halvings until the residual norm decreases;
+    non-finite trials count as failures. One RK4 sweep per iteration holds
+    the trials at step sizes 1, 1/2 and 1/4 and the finite differences
+    around the full step, which leave that step's Jacobian ready. Where all
+    three fail a second sweep tries the other nine, and a shorter step gets
+    its finite differences in a sweep of its own. Returns the roots and, per
+    configuration, None or the ShootingError it meets when shot alone.
     """
 
     def residuals_of(guesses, rows):  # (A, k, 6): k trials per configuration
@@ -355,37 +359,58 @@ def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment):
         tips = _rk4(props, guesses.reshape(-1, 6), tendons, steps_per_segment)
         return tips.reshape(guesses.shape) - tip_wrench[rows, None, :]
 
+    def bumped(x):  # finite-difference steps (A, 6) and stresses (A, 6, 6) around x
+        fd_steps = SHOOTING_FD_STEP * np.maximum(1.0, np.abs(x))
+        return fd_steps, x[:, None, :] + fd_steps[:, :, None] * np.eye(6)
+
+    def slopes(bumped_residuals, base, fd_steps):
+        return (bumped_residuals - base[:, None]).transpose(0, 2, 1) / fd_steps[:, None]
+
+    def norms(trials):  # infinity norms, inf for a non-finite trial
+        return np.where(np.isfinite(trials).all(axis=-1), np.max(np.abs(trials), axis=-1), np.inf)
+
     def fail(rows, message):
         for c in rows:
             errors[c] = ShootingError(message.format(norm=np.max(np.abs(residual[c]))), residual[c])
 
-    guess, errors = np.array(guess, dtype=float), [None] * len(guess)
-    active = np.arange(len(guess))
-    residual = residuals_of(guess[:, None, :], active)[:, 0]
-    alphas = 0.5 ** np.arange(12)
+    guess, errors, active = np.array(guess, dtype=float), [None] * len(guess), np.arange(len(guess))
+    fd_steps, fd_rows = bumped(guess)
+    first = residuals_of(np.concatenate([guess[:, None], fd_rows], axis=1), active)
+    residual, jac = first[:, 0], slopes(first[:, 1:], first[:, 0], fd_steps)
+    stale = np.zeros(len(guess), dtype=bool)  # took a shorter step: no Jacobian yet
+    alphas, likely = 0.5 ** np.arange(12), 3
     for _ in range(MAX_SHOOTING_ITERATIONS):
         norm = np.max(np.abs(residual), axis=1)
         active = active[~(norm[active] < SHOOTING_TOL)]
         if active.size == 0:
             break
-        fd_steps = SHOOTING_FD_STEP * np.maximum(1.0, np.abs(guess[active]))
-        bumped = guess[active, None, :] + fd_steps[:, :, None] * np.eye(6)
-        jac = (residuals_of(bumped, active) - residual[active, None]).transpose(0, 2, 1) / fd_steps[:, None]
+        if stale[active].any():
+            rows = active[stale[active]]
+            fd_steps, fd_rows = bumped(guess[rows])
+            jac[rows] = slopes(residuals_of(fd_rows, rows), residual[rows], fd_steps)
         # LU meets a zero pivot in exactly the Jacobians solve rejects.
         with np.errstate(invalid="ignore"):
-            singular = np.linalg.slogdet(jac)[0] == 0.0
+            singular = np.linalg.slogdet(jac[active])[0] == 0.0
         fail(active[singular], "singular shooting Jacobian")
-        active, jac = active[~singular], jac[~singular]
-        delta = np.linalg.solve(jac, -residual[active, :, None])[..., 0]
+        active = active[~singular]
+        delta = np.linalg.solve(jac[active], -residual[active, :, None])[..., 0]
         candidates = guess[active, None, :] + alphas[:, None] * delta[:, None, :]
-        trial = residuals_of(candidates, active)
-        trial_norms = np.where(np.isfinite(trial).all(axis=2), np.max(np.abs(trial), axis=2), np.inf)
-        accepted = trial_norms < norm[active, None]
+        fd_steps, fd_rows = bumped(candidates[:, 0])
+        swept = residuals_of(np.concatenate([candidates[:, :likely], fd_rows], axis=1), active)
+        trial = np.full(candidates.shape, np.nan)  # a NaN row is never accepted
+        trial[:, :likely] = swept[:, :likely]
+        short = ~(norms(trial[:, :likely]) < norm[active, None]).any(axis=1)
+        if short.any():
+            trial[short, likely:] = residuals_of(candidates[short, likely:], active[short])
+        accepted = norms(trial) < norm[active, None]
         moved = accepted.any(axis=1)
         fail(active[~moved], "shooting step failed to reduce the residual below {norm:.3e}")
         # Each configuration takes its first accepted step size.
         rows, pick, active = np.flatnonzero(moved), accepted[moved].argmax(axis=1), active[moved]
         guess[active], residual[active] = candidates[rows, pick], trial[rows, pick]
+        full = pick == 0
+        jac[active[full]] = slopes(swept[rows[full], likely:], residual[active[full]], fd_steps[rows[full]])
+        stale[active] = ~full
     # Accepted steps only ever lower the norm, so the last residual is the best.
     fail(active, f"shooting did not converge in {MAX_SHOOTING_ITERATIONS} iterations; "
          "best residual infinity norm {norm:.3e}")

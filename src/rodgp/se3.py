@@ -22,6 +22,11 @@ STRUCTURE_TOL = 1e-9
 # principal branch is ill-conditioned at the cut.
 BRANCH_MARGIN = 1e-6
 
+
+class BranchError(ValueError):
+    """A rotation angle is too close to pi for the principal branch."""
+
+
 # The hat maps are linear, so a stack of hats is one product with these
 # generators: _HAT3[i] = hat3(e_i), and likewise for hat6 and curly_hat.
 _HAT3 = np.zeros((3, 3, 3))
@@ -73,7 +78,7 @@ def _coefficients(theta):
 def _angle(omega, check_branch: bool = False):
     theta = np.sqrt((omega * omega).sum(axis=-1))
     if check_branch and (theta >= np.pi - BRANCH_MARGIN).any():
-        raise ValueError("rotation angle too close to pi")
+        raise BranchError("rotation angle too close to pi")
     return theta
 
 
@@ -141,7 +146,7 @@ def log_so3(C) -> np.ndarray:
     cos_theta = np.clip((np.trace(C, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     theta = np.arccos(cos_theta)
     if (theta >= np.pi - BRANCH_MARGIN).any():
-        raise ValueError("rotation angle too close to pi for the principal branch")
+        raise BranchError("rotation angle too close to pi for the principal branch")
     # theta / (2 sin(theta)) has no cancellation; only theta = 0 needs its limit.
     half = np.where(theta > 0.0, theta / (2.0 * np.sin(np.where(theta > 0.0, theta, 1.0))), 0.5)
     A = C - np.swapaxes(C, -1, -2)

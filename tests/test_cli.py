@@ -426,3 +426,30 @@ def test_sample_posterior_on_a_non_rotation_pose_exits_2(workdir, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {solution}: malformed solution file: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def flipped(tmp_path_factory):
+    """A one-run dataset turned half a turn about z and sensed without angle
+    noise, so every measured rotation lies on the log branch cut."""
+    path = tmp_path_factory.mktemp("flipped")
+    config = path / "config.json"
+    config.write_text(json.dumps({"prior": {"K": 10, "M": 2}, "seed": 3, "noise": {"sigma_a_rad": 0}}))
+    dataset = path / "data.json"
+    assert cli.main(["simulate", "--config", str(config), "--count", "1", "--out", str(dataset)]) == cli.EXIT_OK
+    doc = json.loads(dataset.read_text())
+    for state in doc["runs"][0]["states"]:
+        state["T"] = (np.diag([-1.0, -1.0, 1.0, 1.0]) @ np.reshape(state["T"], (4, 4))).ravel().tolist()
+    dataset.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, outputs", [("estimate", ["--run-index", "0", "--out"]), ("evaluate", ["--out-prefix"])]
+)
+def test_rotation_on_the_branch_cut_exits_3_with_one_line(flipped, capsys, command, outputs):
+    argv = [command, "--config", str(flipped / "config.json"), "--dataset", str(flipped / "data.json")]
+    assert cli.main(argv + outputs + [str(flipped / command)]) == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err == "error: solver error: rotation angle too close to pi for the principal branch\n"
+    assert not list(flipped.glob(command + "*"))

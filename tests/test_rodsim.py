@@ -512,3 +512,70 @@ def test_singular_jacobian_is_traced_to_its_configuration(monkeypatch):
         rodsim._solve(props, [faint, TIP_LOADED], rodsim.MIN_STEPS_PER_SEGMENT)
     assert str(batch.value) == str(alone.value)
     np.testing.assert_array_equal(batch.value.residual, alone.value.residual)
+
+
+def reference_shoot(props, routed, tip_wrench, guess, steps):
+    """Plain damped Newton for one configuration: one RK4 sweep for the
+    finite differences at each accepted point and one for all 12 step
+    sizes. Returns the root and the step sizes taken."""
+
+    def residuals(stresses):
+        rows = np.atleast_2d(stresses)
+        return rodsim._rk4(props, rows, np.repeat(routed, len(rows), axis=1), steps) - tip_wrench
+
+    x, alphas, taken = np.array(guess, dtype=float), 0.5 ** np.arange(12), []
+    r = residuals(x)[0]
+    while np.max(np.abs(r)) >= rodsim.SHOOTING_TOL:
+        assert len(taken) < rodsim.MAX_SHOOTING_ITERATIONS
+        h = rodsim.SHOOTING_FD_STEP * np.maximum(1.0, np.abs(x))
+        jac = ((residuals(x + h[:, None] * np.eye(6)) - r) / h[:, None]).T
+        delta = np.linalg.solve(jac, -r)
+        trials = residuals(x + alphas[:, None] * delta)
+        ok = np.isfinite(trials).all(axis=1) & (np.max(np.abs(trials), axis=1) < np.max(np.abs(r)))
+        k = int(np.argmax(ok))
+        assert ok[k]
+        x, r = x + alphas[k] * delta, trials[k]
+        taken.append(alphas[k])
+    return x, taken
+
+
+def test_newton_shoot_matches_a_plain_reference():
+    props = RodProperties.default()
+    actuations = [
+        single_tendon(2.0),
+        TIP_LOADED,
+        Actuation((0, 2.0, 0, 0, 0, 0, 0, 0), (-0.07, 0.04, 0.005, -0.004, 0.0, 0.008)),
+        Actuation((0, 0, 2.0, 0, 0, 0, 0, 0), (-0.09, -0.1, 0.06, 0.008, 0.002, 0.005)),
+        Actuation(NO_TENSION, (-0.1, -0.2, -0.03, 0.02, -0.015, -0.025)),
+    ]
+    routed = rodsim._routed_stress(props, [rodsim.tendon_point_wrenches(props, a) for a in actuations])
+    tips = np.array([a.tip_wrench for a in actuations])
+    steps = rodsim.COARSE_SHOOTING_STEPS
+    roots, errors = rodsim._newton_shoot(props, routed, tips, np.zeros_like(tips), steps)
+    assert errors == [None] * len(actuations)
+    taken = []
+    for c in range(len(actuations)):
+        root, alphas = reference_shoot(props, routed[:, c : c + 1], tips[c], np.zeros(6), steps)
+        np.testing.assert_array_equal(roots[c], root)
+        taken.append(alphas)
+    # No step, full steps only, a step of 1/2 or 1/4 and a step of 1/8 or less.
+    assert taken[0] == [] and set(taken[1]) == set(taken[2]) == {1.0}
+    assert min(taken[3]) in (0.5, 0.25) and min(taken[4]) <= 0.125
+
+
+def test_one_rk4_sweep_per_shooting_iteration(monkeypatch):
+    props = RodProperties.default()
+    rk4, sweeps = rodsim._rk4, []
+
+    def spy(props, base_stresses, routed, steps, poses=False):
+        sweeps.append((len(base_stresses), poses))
+        return rk4(props, base_stresses, routed, steps, poses)
+
+    monkeypatch.setattr(rodsim, "_rk4", spy)
+    rodsim.sample_dataset(props, 8, seed=11)
+    # 7 iterations: a first sweep, one per iteration, two finite-difference
+    # catch-ups after shorter steps and one dense pass. Separate sweeps for
+    # the finite differences and the line search would make 16.
+    assert len(sweeps) == 11
+    assert [poses for _, poses in sweeps] == [False] * 10 + [True]
+    assert sweeps[0] == (8 * 7, False) and sweeps[-1] == (8, True)

@@ -110,6 +110,15 @@ def test_log_so3_rejects_near_pi():
         se3.log_so3(C)
 
 
+def test_branch_cut_raises_a_branch_error():
+    C = np.diag([-1.0, -1.0, 1.0])
+    with pytest.raises(se3.BranchError):
+        se3.log_so3(C)
+    with pytest.raises(se3.BranchError):
+        se3.jac_so3_inv(np.array([0.0, 0.0, np.pi]))
+    assert issubclass(se3.BranchError, ValueError)
+
+
 def test_adjoint_of_exp_is_exp_of_curly():
     for _ in range(20):
         x = random_twist(rng, 1.5, 1.2)
