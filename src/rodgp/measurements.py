@@ -124,7 +124,7 @@ def measurement_cost(error, R, mask) -> float:
     return 0.5 * float(e @ np.linalg.solve(sub, e))
 
 
-def _noise_factor(R) -> np.ndarray:
+def noise_factor(R) -> np.ndarray:
     """Matrix L with L L^T = R, tolerating positive semidefinite R."""
     R = np.asarray(R, dtype=float)
     if not np.any(R):
@@ -141,12 +141,12 @@ def _noise_factor(R) -> np.ndarray:
 def corrupt_pose(T, R, rng) -> np.ndarray:
     """Left-multiply T by exp(hat6(n)) with n ~ N(0, R)."""
     rng = np.random.default_rng(rng)
-    n = _noise_factor(R) @ rng.standard_normal(6)
+    n = noise_factor(R) @ rng.standard_normal(6)
     return se3.exp_se3(n) @ se3.check_pose(T)
 
 
 def corrupt_strain(eps, R, rng) -> np.ndarray:
     """Add n ~ N(0, R) to a strain vector."""
     rng = np.random.default_rng(rng)
-    n = _noise_factor(R) @ rng.standard_normal(6)
+    n = noise_factor(R) @ rng.standard_normal(6)
     return np.asarray(eps, dtype=float) + n

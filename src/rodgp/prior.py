@@ -46,7 +46,9 @@ class PriorHyperparams:
 class StateNode:
     """Estimation variable at one grid arclength: pose and strain.
 
-    Fields of shape (n,), (n, 4, 4) and (n, 6) hold a stack of n nodes.
+    Fields of shape (n,), (n, 4, 4) and (n, 6) hold a stack of n nodes,
+    which indexes, iterates and takes item assignment like a list of them:
+    nodes[k] is a single node (a copy) and nodes[a:b] a stack.
     """
 
     s: float
@@ -54,6 +56,8 @@ class StateNode:
     eps: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.s):
+            self.s = np.array(self.s, dtype=float)
         self.T = np.array(self.T, dtype=float)
         self.eps = np.array(self.eps, dtype=float)
         if self.eps.shape[-1:] != (6,):
@@ -62,9 +66,27 @@ class StateNode:
     def copy(self) -> "StateNode":
         return StateNode(self.s, self.T.copy(), self.eps.copy())
 
+    def __len__(self) -> int:
+        if np.ndim(self.s) == 0:
+            raise TypeError("a single StateNode has no length")
+        return len(self.s)
+
+    def __getitem__(self, k) -> "StateNode":
+        s = self.s[k]
+        return StateNode(float(s) if np.ndim(s) == 0 else s, self.T[k], self.eps[k])
+
+    def __setitem__(self, k, node: "StateNode"):
+        self.s[k], self.T[k], self.eps[k] = node.s, node.T, node.eps
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
 
 def stack_nodes(nodes) -> StateNode:
-    """One StateNode holding a list of nodes as stacked arrays."""
+    """One StateNode holding a list of nodes as stacked arrays; a stack is
+    returned as it is."""
+    if isinstance(nodes, StateNode):
+        return nodes
     return StateNode(
         np.array([node.s for node in nodes], dtype=float),
         np.stack([node.T for node in nodes]),
@@ -100,24 +122,41 @@ def transition(s, s_prev) -> np.ndarray:
     return Phi
 
 
-def _blocks(ds, a, b, c, M) -> np.ndarray:
-    """12x12 matrices [[a M, b M], [b M, c M]] for each interval length in ds > 0."""
+def kron6(coeffs, M) -> np.ndarray:
+    """12x12 Kronecker products coeffs (x) M: block (i, j) is coeffs[..., i, j] M,
+    for (..., 2, 2) coeffs and a 6x6 M."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return (coeffs[..., :, None, :, None] * M[:, None, :]).reshape(coeffs.shape[:-2] + (12, 12))
+
+
+def process_coeffs(ds) -> np.ndarray:
+    """(..., 2, 2) arclength structure q of the process noise Q = q (x) Qc
+    over intervals of length ds >= 0."""
+    ds = np.asarray(ds, dtype=float)
+    return np.moveaxis(np.array([[ds**3 / 3.0, ds**2 / 2.0], [ds**2 / 2.0, ds]]), (0, 1), (-2, -1))
+
+
+def _positive(ds) -> np.ndarray:
+    ds = np.asarray(ds, dtype=float)
     if np.any(ds <= 0):
         raise ValueError("process covariance requires ds > 0")
-    coeffs = np.moveaxis(np.array([[a, b], [b, c]]), (0, 1), (-2, -1))
-    return (coeffs[..., :, None, :, None] * M[:, None, :]).reshape(ds.shape + (12, 12))
+    return ds
 
 
 def process_cov(ds, hyper: PriorHyperparams) -> np.ndarray:
     """Accumulated process noise over an interval of length ds > 0, or a stack."""
+    return kron6(process_coeffs(_positive(ds)), hyper.Qc)
+
+
+def process_coeffs_inv(ds) -> np.ndarray:
+    """Closed-form inverse of process_coeffs for ds > 0."""
     ds = np.asarray(ds, dtype=float)
-    return _blocks(ds, ds**3 / 3.0, ds**2 / 2.0, ds, hyper.Qc)
+    return np.moveaxis(np.array([[12.0 / ds**3, -6.0 / ds**2], [-6.0 / ds**2, 4.0 / ds]]), (0, 1), (-2, -1))
 
 
 def process_cov_inv(ds, hyper: PriorHyperparams) -> np.ndarray:
     """Closed-form inverse of process_cov (no numeric 12x12 inversion)."""
-    ds = np.asarray(ds, dtype=float)
-    return _blocks(ds, 12.0 / ds**3, -6.0 / ds**2, 4.0 / ds, np.linalg.inv(hyper.Qc))
+    return kron6(process_coeffs_inv(_positive(ds)), np.linalg.inv(hyper.Qc))
 
 
 def prior_terms(prev: StateNode, cur: StateNode) -> tuple:

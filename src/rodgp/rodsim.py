@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import se3
-from .measurements import PoseMeasurement, StrainMeasurement, corrupt_pose, corrupt_strain
-from .prior import StateNode
+from .measurements import PoseMeasurement, StrainMeasurement, noise_factor
+from .prior import StateNode, stack_nodes
 
 # Shooting convergence: residual infinity norm in N / N*m.
 SHOOTING_TOL = 1e-9
@@ -175,6 +175,11 @@ class GroundTruthShape:
     @functools.cached_property
     def arclengths(self) -> np.ndarray:
         return np.array([node.s for node in self.nodes])
+
+    @functools.cached_property
+    def stacked(self) -> StateNode:
+        """Every dense sample as one stacked StateNode."""
+        return stack_nodes(self.nodes)
 
     def nearest_index(self, s: float) -> int:
         return int(self.nearest_indices(s))
@@ -540,27 +545,23 @@ def extract_measurements(
     injected one.
     """
     rng = np.random.default_rng(rng)
-    pose_noise = np.diag([noise.sigma_t**2] * 3 + [noise.sigma_a**2] * 3)
-    strain_noise = np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3)
-
-    def pose_at(s):
-        state = shape.state_at(s)
-        return PoseMeasurement(
-            state.s, corrupt_pose(state.T, pose_noise, rng), noise.pose_cov()
-        )
-
-    def strain_at(s):
-        state = shape.state_at(s)
-        return StrainMeasurement(
-            state.s, corrupt_strain(state.eps, strain_noise, rng), noise.strain_cov()
-        )
-
     if scenario is Scenario.POSE_AT_SEGMENT_ENDS:
-        return [pose_at(s) for s in props.segment_ends()]
-    if scenario is Scenario.STRAIN_AT_DISKS:
-        return [strain_at(s) for s in props.disk_arclengths()]
-    if scenario is Scenario.STRAIN_PLUS_TIP_POSE:
-        out = [strain_at(s) for s in props.disk_arclengths()]
-        out.append(pose_at(props.total_length))
-        return out
-    raise ValueError(f"unknown scenario {scenario!r}")
+        strains, poses = [], props.segment_ends()
+    elif scenario is Scenario.STRAIN_AT_DISKS:
+        strains, poses = props.disk_arclengths(), []
+    elif scenario is Scenario.STRAIN_PLUS_TIP_POSE:
+        strains, poses = props.disk_arclengths(), [props.total_length]
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    m = len(strains)
+    states = shape.stacked[shape.nearest_indices(np.concatenate([strains, poses]))]
+    # One draw in measurement order, the stream of one 6-vector per measurement.
+    n = rng.standard_normal((len(states), 6))
+    strain_factor = noise_factor(np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3))
+    pose_factor = noise_factor(np.diag([noise.sigma_t**2] * 3 + [noise.sigma_a**2] * 3))
+    eps_meas = states.eps[:m] + n[:m] @ strain_factor.T
+    T_meas = se3.exp_se3(n[m:] @ pose_factor.T) @ se3.check_pose(states.T[m:])
+    s, strain_cov, pose_cov = states.s.tolist(), noise.strain_cov(), noise.pose_cov()
+    return [StrainMeasurement(*x, strain_cov) for x in zip(s[:m], eps_meas)] + [
+        PoseMeasurement(*x, pose_cov) for x in zip(s[m:], T_meas)
+    ]

@@ -58,14 +58,23 @@ def _stack_measurements(runs, node_index, kind):
     zeros, shared by every run, and the (R, m, ...) measured values, of
     every measurement of one kind."""
     picked = [[m for m in measurements if isinstance(m, kind)] for measurements in runs]
-    layouts = [[(node_index(m.s), m.R.tobytes(), m.mask.tobytes()) for m in ms] for ms in picked]
-    if any(layout != layouts[0] for layout in layouts):
+    m = len(picked[0])
+    if any(len(ms) != m for ms in picked):
         raise ValueError("the runs of a batch must share their measurement nodes, kinds and covariances")
-    info = np.zeros((len(picked[0]), 6, 6))
-    for i, m in enumerate(picked[0]):
-        info[i][np.ix_(m.mask, m.mask)] = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
-    values = [[m.T_meas if kind is meas_mod.PoseMeasurement else m.eps_meas for m in ms] for ms in picked]
-    return np.array([k for k, _, _ in layouts[0]], dtype=int), info, np.array(values)
+
+    def stack(field, shape, dtype=float):
+        values = [[getattr(x, field) for x in ms] for ms in picked]
+        return np.array(values, dtype=dtype).reshape((len(picked), m) + shape)
+
+    nodes, R, mask = node_index(stack("s", ())), stack("R", (6, 6)), stack("mask", (6,), bool)
+    if not (np.all(nodes == nodes[0]) and np.all(R == R[0]) and np.all(mask == mask[0])):
+        raise ValueError("the runs of a batch must share their measurement nodes, kinds and covariances")
+    # One stacked inverse: the masked-out dimensions are pinned to identity,
+    # then zeroed, as pin does for locks.
+    both = mask[0, :, :, None] & mask[0, :, None, :]
+    info = np.where(both, np.linalg.inv(np.where(both, R[0], np.eye(6))), 0.0)
+    values = stack("T_meas", (4, 4)) if kind is meas_mod.PoseMeasurement else stack("eps_meas", (6,))
+    return nodes[0], info, values
 
 
 @dataclass
@@ -89,7 +98,7 @@ class Problem:
     def __post_init__(self):
         self.grid = validate_grid(self.grid)
         n = self.grid.size
-        self.batched = bool(self.initial_guess) and not isinstance(self.initial_guess[0], StateNode)
+        self.batched = not _one_run(self.initial_guess)
         measurements, guesses = self.measurements, self.initial_guess
         if not self.batched:
             measurements, guesses = [measurements], [guesses]
@@ -97,8 +106,8 @@ class Problem:
             raise ValueError("need one measurement list per initial guess")
         if any(len(guess) != n for guess in guesses):
             raise ValueError(f"initial guess must have {n} nodes")
-        flat = stack_nodes([node for guess in guesses for node in guess])
-        self.guess = StateNode(flat.s.reshape(-1, n), flat.T.reshape(-1, n, 4, 4), flat.eps.reshape(-1, n, 6))
+        stacks = [stack_nodes(guess) for guess in guesses]
+        self.guess = StateNode(*(np.stack([getattr(x, f) for x in stacks]) for f in ("s", "T", "eps")))
         if np.any(np.abs(self.guess.s - self.grid) > NODE_MATCH_TOL):
             raise ValueError("initial guess arclengths must match the grid")
         se3.check_pose(self.guess.T)
@@ -109,18 +118,29 @@ class Problem:
             raise ValueError(f"locks must be {(n, 12)}, got {self.locks.shape}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        self.meas_node = [self._node_index(m.s) for m in measurements[0]]
+        self.meas_node = self._node_index(np.array([m.s for m in measurements[0]], dtype=float)).tolist()
         self.pose_stack, self.strain_stack = (
             _stack_measurements(measurements, self._node_index, kind)
             for kind in (meas_mod.PoseMeasurement, meas_mod.StrainMeasurement)
         )
         self.prior_info = process_cov_inv(np.diff(self.grid), self.hyper)
 
-    def _node_index(self, s: float) -> int:
-        k = int(np.argmin(np.abs(self.grid - s)))
-        if abs(self.grid[k] - s) > NODE_MATCH_TOL:
-            raise ValueError(f"measurement at s={s} does not coincide with a grid node")
+    def _node_index(self, s) -> np.ndarray:
+        """Grid index of every measurement arclength in the array s."""
+        gap = np.abs(self.grid - s[..., None])
+        k = np.argmin(gap, axis=-1)
+        off = np.take_along_axis(gap, k[..., None], axis=-1)[..., 0] > NODE_MATCH_TOL
+        if off.any():
+            raise ValueError(f"measurement at s={s[off][0]} does not coincide with a grid node")
         return k
+
+
+def _one_run(guess) -> bool:
+    """Whether an initial guess is one run's nodes, a stacked StateNode or a
+    list of single nodes, rather than a batch of such guesses."""
+    if isinstance(guess, StateNode):
+        return np.ndim(guess.s) == 1
+    return not guess or (isinstance(guess[0], StateNode) and np.ndim(guess[0].s) == 0)
 
 
 def linearize(problem: Problem, T, eps, runs=slice(None)):
@@ -341,7 +361,7 @@ class Solution:
     """Converged estimate with marginal covariances and factor data, and
     the problem it was solved in (for a batch, the problem of all runs)."""
 
-    nodes: list
+    nodes: StateNode
     marginal_covs: np.ndarray
     joint_covs: np.ndarray
     cost_history: list
@@ -377,9 +397,9 @@ def _factor(D, U, runs, errors):
 
 
 def raise_failed(results) -> list:
-    """The results of a batch, after raising the first run's LinAlgError."""
+    """The results of a batch, after raising the first run's error."""
     for result in results:
-        if isinstance(result, np.linalg.LinAlgError):
+        if isinstance(result, Exception):
             raise result
     return results
 
@@ -446,7 +466,7 @@ def _finalize(problem, T, eps, system, cost_history, iterations, converged, erro
     np.copyto(off, 0.0, where=~off_mask)
     for i, run in enumerate(runs[keep]):
         results[run] = Solution(
-            nodes=[StateNode(s, T_k, eps_k) for s, T_k, eps_k in zip(problem.guess.s[run], T[run], eps[run])],
+            nodes=StateNode(problem.guess.s[run], T[run], eps[run]),
             marginal_covs=marg[i],
             joint_covs=np.block([[marg[i, :-1], off[i]], [_t(off[i]), marg[i, 1:]]]),
             cost_history=cost_history[run],
@@ -481,7 +501,7 @@ def sample_posterior(solution: Solution, count: int, rng):
     estimates.
     """
     rng = np.random.default_rng(rng)
-    nodes = stack_nodes(solution.nodes)
+    nodes = solution.nodes
     free = ~solution.problem.locks
     full = np.where(free, cr_sample(solution.factor, rng.standard_normal((count,) + free.shape)), 0.0)
     T = se3.exp_se3(full[..., 0:6]) @ nodes.T

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interpolation, rodsim, se3, solver
-from .measurements import PoseMeasurement, pose_error, strain_error
-from .prior import PriorHyperparams, StateNode, stack_nodes, uniform_grid
+from .measurements import PoseMeasurement
+from .prior import PriorHyperparams, StateNode, uniform_grid
 from .rodsim import MeasurementNoise, Scenario
 
 # Measurement arclengths closer than this to an existing node reuse it
@@ -69,31 +69,41 @@ class ScenarioConfig:
         )
 
 
-def pose_errors(estimate: StateNode, truth: StateNode) -> tuple:
-    """Translation distance in metres and rotation angle in degrees, per node."""
-    dp = np.linalg.norm(estimate.T[..., :3, 3] - truth.T[..., :3, 3], axis=-1)
-    return dp, se3.rotation_angle_deg(estimate.T[..., :3, :3], truth.T[..., :3, :3])
+def pose_errors(estimate, truth) -> tuple:
+    """Translation distance in metres and rotation angle in degrees, per
+    node, of StateNodes or of (..., 4, 4) pose stacks."""
+    T_est, T_truth = (x.T if isinstance(x, StateNode) else x for x in (estimate, truth))
+    dp = np.linalg.norm(T_est[..., :3, 3] - T_truth[..., :3, 3], axis=-1)
+    return dp, se3.rotation_angle_deg(T_est[..., :3, :3], T_truth[..., :3, :3])
 
 
 def estimation_grid(total_length, num_intervals, measurement_arclengths):
-    """Uniform node grid with the measurement arclengths merged in."""
-    grid = list(uniform_grid(total_length, num_intervals))
-    for s in measurement_arclengths:
-        if min(abs(s - g) for g in grid) > MERGE_TOL:
-            grid.append(float(s))
-    return np.sort(np.asarray(grid))
+    """Uniform node grid with the measurement arclengths merged in.
+
+    In measurement order, an arclength within MERGE_TOL of a node or of an
+    arclength merged before it reuses that node instead of adding one.
+    """
+    uniform = uniform_grid(total_length, num_intervals)
+    s = np.asarray(measurement_arclengths, dtype=float).reshape(-1)
+    s = s[np.abs(s[:, None] - uniform).min(axis=1, initial=np.inf) > MERGE_TOL]
+    earlier = np.tril(np.abs(s[:, None] - s) <= MERGE_TOL, -1)
+    keep = ~earlier.any(axis=1)
+    # Only an arclength near an earlier one depends on what came before it.
+    for i in np.flatnonzero(~keep):
+        keep[i] = not (earlier[i] & keep).any()
+    return np.sort(np.concatenate([uniform, s[keep]]))
 
 
-def straight_guess(grid, hyper: PriorHyperparams) -> list:
+def straight_guess(grid, hyper: PriorHyperparams) -> StateNode:
     """Constant-strain rollout of the prior mean from the identity pose."""
-    poses = se3.exp_se3(np.asarray(grid, dtype=float)[:, None] * hyper.eps_bar)
-    return [StateNode(float(s), T, hyper.eps_bar.copy()) for s, T in zip(grid, poses)]
+    s = np.asarray(grid, dtype=float)
+    return StateNode(s, se3.exp_se3(s[:, None] * hyper.eps_bar), np.tile(hyper.eps_bar, (s.size, 1)))
 
 
-def model_guess(grid, shape: rodsim.GroundTruthShape) -> list:
+def model_guess(grid, shape: rodsim.GroundTruthShape) -> StateNode:
     """Initial guess read off a simulated shape at the grid arclengths."""
-    states = [shape.nodes[i] for i in shape.nearest_indices(grid)]
-    return [StateNode(float(s), state.T, state.eps) for s, state in zip(grid, states)]
+    truth = shape.stacked[shape.nearest_indices(grid)]
+    return StateNode(np.asarray(grid, dtype=float), truth.T, truth.eps)
 
 
 def query_points(grid, per_interval: int):
@@ -116,7 +126,7 @@ class EstimateRecord:
     solution: solver.Solution
     arclengths: np.ndarray
     is_node: np.ndarray
-    states: list
+    states: StateNode
     covs: np.ndarray
     truth: list
     pos_err: np.ndarray
@@ -159,20 +169,29 @@ def _problem(config: ScenarioConfig, grid, measurements, guesses) -> solver.Prob
 
 def _estimate(props, shapes, measurements, config: ScenarioConfig, grid, guesses) -> list:
     """Solve, query and score runs that share one grid as one batch: an
-    EstimateRecord per run, or the LinAlgError of a run whose system is
-    not positive definite, in run order."""
-    results = solver.gauss_newton(_problem(config, grid, measurements, guesses))
-    solved = [run for run, result in enumerate(results) if isinstance(result, solver.Solution)]
-    if not solved:
-        return results
-    taus, is_node = query_points(grid, config.states_per_interval)
-    states, covs = interpolation.query([results[run] for run in solved], taus)
-    truth = [[shapes[run].nodes[i] for i in shapes[run].nearest_indices(taus)] for run in solved]
-    flat = [stack_nodes([node for nodes in runs for node in nodes]) for runs in (states, truth)]
-    pos_err, ang_err = (err.reshape(len(solved), taus.size) for err in pose_errors(*flat))
+    EstimateRecord per run, or the error of a run whose system is not
+    positive definite (LinAlgError) or whose rotations leave the log branch
+    (BranchError), in run order. The log branch is checked on the whole
+    batch, so a BranchError sends every run through a solve of its own."""
+    try:
+        results = solver.gauss_newton(_problem(config, grid, measurements, guesses))
+        solved = [run for run, result in enumerate(results) if isinstance(result, solver.Solution)]
+        if not solved:
+            return results
+        taus, is_node = query_points(grid, config.states_per_interval)
+        states, covs = interpolation.query([results[run] for run in solved], taus)
+    except se3.BranchError as exc:
+        if len(shapes) == 1:
+            return [exc]
+        one = [slice(run, run + 1) for run in range(len(shapes))]
+        return [_estimate(props, shapes[r], measurements[r], config, grid, guesses[r])[0] for r in one]
+    nearest = [shapes[run].nearest_indices(taus) for run in solved]
+    T_truth = np.stack([shapes[run].stacked.T[k] for run, k in zip(solved, nearest)])
+    pos_err, ang_err = pose_errors(np.stack([x.T for x in states]), T_truth)
     for i, run in enumerate(solved):
         results[run] = EstimateRecord(
-            -1, results[run], taus, is_node, states[i], covs[i], truth[i], pos_err[i], ang_err[i]
+            -1, results[run], taus, is_node, states[i], covs[i],
+            [shapes[run].nodes[k] for k in nearest[i]], pos_err[i], ang_err[i],
         )
     return results
 
@@ -220,7 +239,7 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
     records, failures = [], []
     for index in range(len(dataset)):
         record = outcome[index]
-        if isinstance(record, np.linalg.LinAlgError):
+        if isinstance(record, Exception):
             failures.append((index, f"solver error: {record}"))
         elif not record.solution.converged:
             failures.append((index, f"no convergence in {record.solution.iterations} iterations"))
@@ -228,6 +247,11 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
             record.index = index
             records.append(record)
     if not records:
+        # With no run to report, a run that left the log branch raises its
+        # error, as any such run did before runs were filed one by one.
+        for index in range(len(dataset)):
+            if isinstance(outcome[index], se3.BranchError):
+                raise outcome[index]
         raise RuntimeError(f"every run failed: {failures}")
     pos = np.stack([r.pos_err for r in records])
     ang = np.stack([r.ang_err for r in records])
@@ -247,14 +271,16 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
 
 
 def position_covariance(T, cov12) -> np.ndarray:
-    """3x3 world-position covariance from a 12x12 state covariance.
+    """3x3 world-position covariance from a 12x12 state covariance, or
+    (..., 3, 3) from (..., 4, 4) poses and (..., 12, 12) covariances.
 
     A left pose perturbation moves the translation by delta_rho plus
     delta_theta crossed into it, so the position picks up [I, -hat(p)]
     times the pose block.
     """
-    A = np.hstack([np.eye(3), -se3.hat3(T[:3, 3])])
-    return A @ cov12[0:6, 0:6] @ A.T
+    p = np.asarray(T, dtype=float)[..., :3, 3]
+    A = np.concatenate([np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)), -se3.hat3(p)], axis=-1)
+    return A @ np.asarray(cov12)[..., 0:6, 0:6] @ np.swapaxes(A, -1, -2)
 
 
 def envelope_hits(record: EstimateRecord, nodes_only: bool = True) -> np.ndarray:
@@ -263,33 +289,34 @@ def envelope_hits(record: EstimateRecord, nodes_only: bool = True) -> np.ndarray
     Checked as a Mahalanobis distance of the true position under the
     estimated position covariance.
     """
-    hits = []
-    for i in range(record.arclengths.size):
-        if nodes_only and not record.is_node[i]:
-            continue
-        P = position_covariance(record.states[i].T, record.covs[i])
-        d = record.truth[i].T[:3, 3] - record.states[i].T[:3, 3]
-        if np.trace(P) < 1e-18:
-            # Locked sub-state: zero covariance, inside iff exact.
-            hits.append(bool(np.linalg.norm(d) < 1e-9))
-        else:
-            m2 = float(d @ np.linalg.solve(P, d))
-            hits.append(m2 <= 9.0)
-    return np.array(hits)
+    points = np.flatnonzero(record.is_node) if nodes_only else np.arange(record.arclengths.size)
+    T = record.states.T[points]
+    P = position_covariance(T, record.covs[points])
+    d = np.stack([record.truth[i].T[:3, 3] for i in points]).reshape(-1, 3) - T[:, :3, 3]
+    # Locked sub-state: zero covariance, inside iff exact.
+    locked = np.trace(P, axis1=-2, axis2=-1) < 1e-18
+    x = np.linalg.solve(np.where(locked[:, None, None], np.eye(3), P), d[..., None])[..., 0]
+    m2 = np.einsum("ij,ij->i", d, x)
+    return np.where(locked, np.linalg.norm(d, axis=-1) < 1e-9, m2 <= 9.0)
 
 
 def max_residual_sigmas(solution: solver.Solution, measurements) -> float:
     """Largest whitened measurement residual at the converged estimate."""
-    worst = 0.0
-    for m in measurements:
-        k = int(np.argmin(np.abs(solution.grid - m.s)))
-        if isinstance(m, PoseMeasurement):
-            e = pose_error(m, solution.nodes[k].T)
-        else:
-            e = strain_error(m, solution.nodes[k].eps)
-        sigmas = np.sqrt(np.diag(m.R)[m.mask])
-        worst = max(worst, float(np.max(np.abs(e / sigmas))))
-    return worst
+    if not measurements:
+        return 0.0
+    grid = solution.grid
+    k = np.argmin(np.abs(grid - np.array([m.s for m in measurements])[:, None]), axis=1)
+    pose = np.array([isinstance(m, PoseMeasurement) for m in measurements])
+    e = np.empty((len(measurements), 6))
+    if pose.any():
+        T_meas = np.stack([m.T_meas for m, p in zip(measurements, pose) if p])
+        e[pose] = se3.log_se3(T_meas @ se3.pose_inverse(solution.nodes.T[k[pose]]))
+    if not pose.all():
+        eps_meas = np.stack([m.eps_meas for m, p in zip(measurements, pose) if not p])
+        e[~pose] = eps_meas - solution.nodes.eps[k[~pose]]
+    mask = np.stack([m.mask for m in measurements])
+    sigmas = np.sqrt(np.where(mask, np.stack([np.diag(m.R) for m in measurements]), 1.0))
+    return float(np.max(np.abs(e / sigmas), where=mask, initial=0.0))
 
 
 @dataclass

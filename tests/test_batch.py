@@ -4,7 +4,7 @@ must give what one-run solves of the same runs give."""
 import numpy as np
 import pytest
 
-from rodgp import rodsim, solver, study
+from rodgp import rodsim, se3, solver, study
 from rodgp.prior import StateNode, stack_nodes
 from rodgp.rodsim import GroundTruthShape, Scenario
 
@@ -174,3 +174,28 @@ def test_guess_kinds_and_the_two_guess_batch(props, small_dataset):
         assert solution.iterations == single.iterations and solution.converged == single.converged
         for a, b in zip(solution.nodes, single.nodes):
             np.testing.assert_allclose(a.T, b.T, rtol=0, atol=ROUND_OFF)
+
+
+def test_a_run_on_the_log_branch_cut_is_filed_alone(props, small_dataset, monkeypatch):
+    # The unloaded, straight rod turned about the world z axis by an angle
+    # growing to pi at the tip: its tip pose measurement lies on the log
+    # branch cut, while its sensed arclengths, and so its grid, are those
+    # of the simulated shapes it is batched with.
+    straight = rodsim.solve_static(props, rodsim.Actuation((0.0,) * 8))
+    turn = se3.exp_se3(np.outer(straight.arclengths / straight.arclengths[-1], [0, 0, 0, 0, 0, np.pi]))
+    turned = GroundTruthShape(
+        [StateNode(node.s, R @ node.T, node.eps) for R, node in zip(turn, straight.nodes)], straight.sigma
+    )
+    dataset = [small_dataset[1], (None, turned), small_dataset[2]]
+    config = study.ScenarioConfig(Scenario.POSE_AT_SEGMENT_ENDS, noise=rodsim.MeasurementNoise(sigma_a=0.0))
+    singles = single_records(props, dataset[:1], config)
+    sizes = batch_sizes(monkeypatch)
+    result = study.run_study(props, dataset, config)
+    # The batch leaves the branch, so every run is solved alone.
+    assert sizes == [3, 1, 1, 1]
+    assert result.failures == [(1, "solver error: rotation angle too close to pi for the principal branch")]
+    assert [r.index for r in result.records] == [0, 2]
+    assert_records_agree(result.records[0], singles[0])
+    # A study whose every run leaves the branch raises its error, as before.
+    with pytest.raises(se3.BranchError):
+        study.run_study(props, [(None, turned)], config)

@@ -184,3 +184,61 @@ def test_one_call_query_equals_single_queries(props, small_dataset):
         np.testing.assert_allclose(cov, single_cov, rtol=0, atol=1e-14 * np.abs(single_cov).max())
     with pytest.raises(ValueError):
         interp.query(sol, np.array([0.1, sol.grid[-1] + 1e-3]))
+
+
+def dense_query(solution, tau):
+    """One interior query by the dense formula: 12x12 gains
+    Psi = Q_tau Phi^T Q^-1 and Lambda = Phi - Psi Phi applied to the knots,
+    and the local covariance Q_tau + [Lambda, Psi] D [Lambda, Psi]^T."""
+    grid, hyper, nodes = solution.grid, solution.hyper, solution.nodes
+    k = int(np.clip(np.searchsorted(grid, tau, side="right") - 1, 0, grid.size - 2))
+    s_k, s_k1 = grid[k], grid[k + 1]
+    Q_tau = prior.process_cov(tau - s_k, hyper)
+    Psi = Q_tau @ prior.transition(s_k1, tau).T @ prior.process_cov_inv(s_k1 - s_k, hyper)
+    Lam = prior.transition(tau, s_k) - Psi @ prior.transition(s_k1, s_k)
+    np.testing.assert_allclose(np.hstack(interp.interp_matrices(tau, s_k, s_k1, hyper)), np.hstack([Lam, Psi]),
+                               rtol=0, atol=1e-14 * np.abs(Psi).max())
+    xi = se3.log_se3(nodes.T[k + 1] @ se3.pose_inverse(nodes.T[k]))
+    J_inv = se3.left_jacobian_inv(xi)
+    gamma = Lam @ np.concatenate([np.zeros(6), nodes.eps[k]]) + Psi @ np.concatenate([xi, J_inv @ nodes.eps[k + 1]])
+    J = se3.left_jacobian(gamma[:6])
+    eps = J @ gamma[6:]
+    G = np.zeros((24, 24))
+    G[0:12, 0:12] = interp._lower(np.eye(6), 0.5 * se3.curly_hat(nodes.eps[k]))
+    G[12:24, 12:24] = interp._lower(J_inv, 0.5 * se3.curly_hat(nodes.eps[k + 1]) @ J_inv)
+    D = G @ solution.joint_covs[k] @ G.T
+    D[12:24, 12:24] -= prior.process_cov(s_k1 - s_k, hyper)
+    gain = np.hstack([Lam, Psi])
+    H = interp._lower(J, -0.5 * J @ se3.curly_hat(eps))
+    return se3.exp_se3(gamma[:6]) @ nodes.T[k], eps, H @ (Q_tau + gain @ D @ gain.T) @ H.T
+
+
+def test_batch_query_matches_the_dense_gains(props, small_dataset):
+    problems = [scenario_problem(props, shape, seed) for seed, (_, shape) in enumerate(small_dataset)]
+    grid = problems[0].grid
+    assert all(np.array_equal(p.grid, grid) for p in problems)
+    batch = solver.Problem(grid, problems[0].hyper, [p.measurements for p in problems],
+                           [p.initial_guess for p in problems], problems[0].locks)
+    solutions = solver.gauss_newton(batch)
+    taus, is_node = study.query_points(grid, 3)
+    order = np.random.default_rng(8).permutation(taus.size)
+    taus, is_node = taus[order], is_node[order]
+    # Several chunks over the flattened (run, query) axis, intervals mixed.
+    assert len(solutions) * np.count_nonzero(~is_node) > 2 * interp.QUERY_CHUNK
+    states, covs = interp.query(solutions, taus)
+    assert len(states) == len(covs) == len(solutions)
+    for solution, state, cov in zip(solutions, states, covs):
+        assert len(state) == taus.size and cov.shape == (taus.size, 12, 12)
+        np.testing.assert_array_equal(state.s, taus)
+        scale = np.abs(cov).max()
+        for i, tau in enumerate(taus):
+            if is_node[i]:
+                k = int(np.argmin(np.abs(grid - tau)))
+                np.testing.assert_array_equal(state.T[i], solution.nodes.T[k])
+                np.testing.assert_array_equal(state.eps[i], solution.nodes.eps[k])
+                np.testing.assert_array_equal(cov[i], solution.marginal_covs[k])
+                continue
+            T, eps, P = dense_query(solution, tau)
+            np.testing.assert_allclose(state.T[i], T, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(state.eps[i], eps, rtol=0, atol=1e-14 * max(1.0, np.abs(eps).max()))
+            np.testing.assert_allclose(cov[i], P, rtol=0, atol=1e-12 * scale)

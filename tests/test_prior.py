@@ -291,3 +291,37 @@ def test_stacked_interval_matrices_equal_unstacked():
         0.5 * e @ prior.process_cov_inv(d, HYPER) @ e for e, d in zip(errors, ds)
     )
     np.testing.assert_allclose(prior.prior_cost(errors, grid, HYPER), looped, rtol=1e-14)
+
+
+def test_stacked_state_node_acts_as_a_node_list():
+    gen = np.random.default_rng(12)
+    nodes = [StateNode(0.1 * k, random_pose(gen), gen.standard_normal(6)) for k in range(5)]
+    stack = prior.stack_nodes(nodes)
+    assert len(stack) == 5
+    with pytest.raises(TypeError):
+        len(nodes[0])
+    for k in (0, 3, -1, -5):
+        node = stack[k]
+        assert isinstance(node.s, float) and node.s == nodes[k].s
+        np.testing.assert_array_equal(node.T, nodes[k].T)
+        np.testing.assert_array_equal(node.eps, nodes[k].eps)
+    assert [node.s for node in stack] == [node.s for node in nodes]
+    np.testing.assert_array_equal(stack[1:3].T, stack.T[1:3])
+    assert prior.stack_nodes(stack) is stack
+    again = prior.stack_nodes(list(stack))
+    for field in ("s", "T", "eps"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(stack, field))
+
+    # A node read out is a copy; item assignment writes into the stack.
+    copy = stack.copy()
+    node = stack[2]
+    node.T[0, 3] += 1.0
+    np.testing.assert_array_equal(stack.T, copy.T)
+    stack[2] = node
+    assert stack.T[2, 0, 3] == copy.T[2, 0, 3] + 1.0
+    np.testing.assert_array_equal(stack.T[[0, 1, 3, 4]], copy.T[[0, 1, 3, 4]])
+    stack[2] = copy[2]
+    np.testing.assert_array_equal(stack.T, copy.T)
+    # copy() owns its arrays.
+    copy.eps[0] += 1.0
+    assert not np.array_equal(copy.eps, stack.eps)

@@ -579,3 +579,58 @@ def test_one_rk4_sweep_per_shooting_iteration(monkeypatch):
     assert len(sweeps) == 11
     assert [poses for _, poses in sweeps] == [False] * 10 + [True]
     assert sweeps[0] == (8 * 7, False) and sweeps[-1] == (8, True)
+
+
+def sequential_measurements(shape, scenario, props, noise, rng):
+    """One state lookup, one 6-vector draw and one corruption per
+    measurement, in measurement order."""
+    from rodgp.measurements import corrupt_pose, corrupt_strain
+
+    pose_noise = np.diag([noise.sigma_t**2] * 3 + [noise.sigma_a**2] * 3)
+    strain_noise = np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3)
+
+    def pose_at(s):
+        state = shape.nodes[int(np.argmin(np.abs(shape.arclengths - s)))]
+        return PoseMeasurement(state.s, corrupt_pose(state.T, pose_noise, rng), noise.pose_cov())
+
+    def strain_at(s):
+        state = shape.nodes[int(np.argmin(np.abs(shape.arclengths - s)))]
+        return StrainMeasurement(state.s, corrupt_strain(state.eps, strain_noise, rng), noise.strain_cov())
+
+    if scenario is Scenario.POSE_AT_SEGMENT_ENDS:
+        return [pose_at(s) for s in props.segment_ends()]
+    strains = [strain_at(s) for s in props.disk_arclengths()]
+    return strains + ([pose_at(props.total_length)] if scenario is Scenario.STRAIN_PLUS_TIP_POSE else [])
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_extract_measurements_equal_a_draw_per_measurement(props, small_dataset, scenario):
+    noise = MeasurementNoise()
+    for index, (_, shape) in enumerate(small_dataset):
+        batched = rodsim.extract_measurements(shape, scenario, props, noise, np.random.default_rng([7, index]))
+        single = sequential_measurements(shape, scenario, props, noise, np.random.default_rng([7, index]))
+        assert [type(m) for m in batched] == [type(m) for m in single]
+        for a, b in zip(batched, single):
+            assert a.s == b.s
+            np.testing.assert_array_equal(a.R, b.R)
+            np.testing.assert_array_equal(a.mask, b.mask)
+            if isinstance(a, PoseMeasurement):
+                np.testing.assert_array_equal(a.T_meas, b.T_meas)
+            else:
+                np.testing.assert_array_equal(a.eps_meas, b.eps_meas)
+
+
+def test_extract_measurements_look_up_the_truth_once(props, small_dataset, monkeypatch):
+    _, shape = small_dataset[2]
+    calls = []
+    original = GroundTruthShape.nearest_indices
+    monkeypatch.setattr(GroundTruthShape, "state_at", lambda *args: calls.append("state_at"))
+    monkeypatch.setattr(
+        GroundTruthShape, "nearest_indices", lambda self, s: calls.append("nearest_indices") or original(self, s)
+    )
+    rodsim.extract_measurements(shape, Scenario.STRAIN_PLUS_TIP_POSE, props, MeasurementNoise(), 0)
+    assert calls == ["nearest_indices"]
+    stacked = shape.stacked
+    assert shape.stacked is stacked
+    np.testing.assert_array_equal(stacked.T, [node.T for node in shape.nodes])
+    np.testing.assert_array_equal(stacked.eps, [node.eps for node in shape.nodes])

@@ -536,3 +536,54 @@ def test_posterior_samples_keep_every_locked_dimension_at_the_estimate():
         np.testing.assert_array_equal(stack.eps[:, 0:3], est.eps[:, 0:3])
         np.testing.assert_array_equal(stack.eps[-1], est.eps[-1])
         assert np.all(stack.eps[1:-1, 3:6] != est.eps[1:-1, 3:6])
+
+
+def test_problem_tells_one_run_from_a_batch():
+    problem, _ = arc_problem()
+    sol = solver.gauss_newton(problem)
+    guess_list = list(sol.nodes)
+    for guess in (sol.nodes, guess_list):
+        one = solver.Problem(problem.grid, HYPER, problem.measurements, guess, problem.locks)
+        assert not one.batched and one.guess.T.shape == (1, problem.grid.size, 4, 4)
+        np.testing.assert_array_equal(one.guess.T[0], sol.nodes.T)
+        np.testing.assert_array_equal(one.guess.s[0], problem.grid)
+    # A list of stacks, or of node lists, is a batch of their runs.
+    for guesses in ([sol.nodes, problem.initial_guess], [guess_list, list(problem.initial_guess)]):
+        batch = solver.Problem(problem.grid, HYPER, [problem.measurements] * 2, guesses, problem.locks)
+        assert batch.batched and batch.guess.T.shape == (2, problem.grid.size, 4, 4)
+        np.testing.assert_array_equal(batch.guess.T[0], sol.nodes.T)
+        np.testing.assert_array_equal(batch.guess.eps[1], prior.stack_nodes(problem.initial_guess).eps)
+    # A warm start from the solution stops within the step tolerance.
+    warm = solver.gauss_newton(solver.Problem(problem.grid, HYPER, problem.measurements, sol.nodes, problem.locks))
+    assert warm.converged and warm.iterations == 1
+    np.testing.assert_allclose(warm.nodes.T, sol.nodes.T, rtol=0, atol=problem.step_tol)
+
+
+def test_stacked_measurement_information_masks_each_covariance():
+    gen = np.random.default_rng(4)
+    grid = prior.uniform_grid(1.0, 4)
+    guess = study.straight_guess(grid, HYPER)
+    masks = [[True] * 6, [True, False, True, False, True, True], [False, False, False, True, True, True]]
+    measurements = []
+    for k, mask in zip((1, 2, 4), masks):
+        M = gen.standard_normal((6, 6))
+        R = M @ M.T + np.eye(6)
+        measurements.append(PoseMeasurement(grid[k], se3.exp_se3(0.1 * gen.standard_normal(6)), R, np.array(mask)))
+        measurements.append(StrainMeasurement(grid[k], gen.standard_normal(6), 2.0 * R, np.array(mask)[::-1]))
+    problem = solver.Problem(grid, HYPER, measurements, guess)
+    for stack, kind in ((problem.pose_stack, PoseMeasurement), (problem.strain_stack, StrainMeasurement)):
+        picked = [m for m in measurements if isinstance(m, kind)]
+        nodes, info, values = stack
+        np.testing.assert_array_equal(nodes, [1, 2, 4])
+        assert values.shape[:2] == (1, 3)
+        for m, got in zip(picked, info):
+            expected = np.zeros((6, 6))
+            expected[np.ix_(m.mask, m.mask)] = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+            assert np.all(got[~m.mask] == 0.0) and np.all(got[:, ~m.mask] == 0.0)
+    # Runs of a batch must share the measurement layout.
+    other = list(measurements)
+    other[1] = StrainMeasurement(grid[1], np.zeros(6), 3.0 * other[1].R, other[1].mask)
+    for second in (other, measurements[:-1], measurements[1:] + measurements[:1]):
+        with pytest.raises(ValueError, match="must share their measurement nodes, kinds and covariances"):
+            solver.Problem(grid, HYPER, [measurements, second], [guess, guess])

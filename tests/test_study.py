@@ -183,3 +183,91 @@ def test_initial_guess_study_mild_bend_shares_basin(props):
     np.testing.assert_allclose(report.straight_cost, report.model_cost, rtol=1e-6)
     np.testing.assert_allclose(report.straight_tip, report.model_tip, atol=1e-6)
     assert report.straight_residual_sigmas < 3.0
+
+
+def merged_grid_by_scan(total_length, num_intervals, measurement_arclengths):
+    """The merge rule as a scan: each arclength, in measurement order, is
+    added unless it lies within MERGE_TOL of a node added before it."""
+    grid = list(study.uniform_grid(total_length, num_intervals))
+    for s in measurement_arclengths:
+        if min(abs(s - g) for g in grid) > study.MERGE_TOL:
+            grid.append(float(s))
+    return np.sort(np.asarray(grid))
+
+
+def test_estimation_grid_merges_near_duplicates_in_measurement_order():
+    tol, node = study.MERGE_TOL, 0.28 / 29
+    cases = [
+        [],
+        [0.14, 0.14, 0.28, 0.28],
+        [0.1, 0.1 + 0.5 * tol, 0.1 + 1.5 * tol],
+        [0.1 + 0.5 * tol, 0.1, 0.1 + 1.5 * tol],
+        [0.1 + 1.5 * tol, 0.1 + 0.5 * tol, 0.1, 0.1 - 0.8 * tol],
+        [0.1, 0.1 + tol, 0.1 + 2 * tol, 0.1 + 3.5 * tol],
+        [node + 0.9 * tol, node + 1.8 * tol, node + 2.6 * tol, 3 * node - tol],
+        [0.2, 0.05, 0.2 + 0.3 * tol, 0.05 - 0.7 * tol, 0.2 - 0.6 * tol, 0.27],
+    ]
+    gen = np.random.default_rng(9)
+    cases += [list(0.1 + gen.uniform(-3, 3, 12) * tol) for _ in range(20)]
+    for arclengths in cases:
+        expected = merged_grid_by_scan(0.28, 29, arclengths)
+        got = study.estimation_grid(0.28, 29, arclengths)
+        assert got.tobytes() == expected.tobytes(), arclengths
+        got = study.estimation_grid(0.28, 29, np.array(arclengths))
+        assert got.tobytes() == expected.tobytes(), arclengths
+
+
+def test_position_covariance_takes_stacks():
+    gen = np.random.default_rng(10)
+    T = se3.exp_se3(gen.uniform(-0.5, 0.5, (2, 3, 6)))
+    M = gen.standard_normal((2, 3, 12, 12))
+    cov = M @ np.swapaxes(M, -1, -2)
+    stacked = study.position_covariance(T, cov)
+    assert stacked.shape == (2, 3, 3, 3)
+    for i in np.ndindex(2, 3):
+        np.testing.assert_allclose(stacked[i], study.position_covariance(T[i], cov[i]), rtol=0, atol=1e-14)
+
+
+def envelope_hits_by_point(record, nodes_only=True):
+    hits = []
+    for i in range(record.arclengths.size):
+        if nodes_only and not record.is_node[i]:
+            continue
+        T = record.states[i].T
+        A = np.hstack([np.eye(3), -se3.hat3(T[:3, 3])])
+        P = A @ record.covs[i][0:6, 0:6] @ A.T
+        d = record.truth[i].T[:3, 3] - T[:3, 3]
+        hits.append(bool(np.linalg.norm(d) < 1e-9) if np.trace(P) < 1e-18 else float(d @ np.linalg.solve(P, d)) <= 9.0)
+    return np.array(hits)
+
+
+def max_residual_sigmas_by_measurement(solution, measurements):
+    from rodgp.measurements import PoseMeasurement, pose_error, strain_error
+
+    worst = 0.0
+    for m in measurements:
+        k = int(np.argmin(np.abs(solution.grid - m.s)))
+        node = solution.nodes[k]
+        e = pose_error(m, node.T) if isinstance(m, PoseMeasurement) else strain_error(m, node.eps)
+        worst = max(worst, float(np.max(np.abs(e / np.sqrt(np.diag(m.R)[m.mask])))))
+    return worst
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_vectorised_scorers_equal_their_per_point_forms(props, small_dataset, scenario):
+    config = study.ScenarioConfig(scenario, states_per_interval=2, seed=4)
+    result = study.run_study(props, small_dataset, config)
+    for record in result.records:
+        for nodes_only in (True, False):
+            np.testing.assert_array_equal(
+                study.envelope_hits(record, nodes_only), envelope_hits_by_point(record, nodes_only)
+            )
+        rng = np.random.default_rng([config.seed, record.index])
+        measurements = rodsim.extract_measurements(small_dataset[record.index][1], scenario, props, config.noise, rng)
+        # A partial mask leaves the unsensed components out of the residual.
+        masked = dataclasses.replace(measurements[-1], mask=np.array([True, False, True, True, False, True]))
+        for ms in (measurements, measurements[:-1] + [masked]):
+            assert study.max_residual_sigmas(record.solution, ms) == max_residual_sigmas_by_measurement(
+                record.solution, ms
+            )
+    assert study.max_residual_sigmas(result.records[0].solution, []) == 0.0
