@@ -143,7 +143,7 @@ def query(solutions, taus):
             gamma = g[q] @ knots[run, j]
             J = se3.left_jacobian(gamma[:, 0])
             eps = (J @ gamma[:, 1, :, None])[..., 0]
-            T_out[run, inner[q]] = se3.exp_se3(gamma[:, 0]) @ T_l[run, j]
+            T_out[run, inner[q]] = se3.exp_se3_from_jacobian(gamma[:, 0], J) @ T_l[run, j]
             eps_out[run, inner[q]] = eps
             P_local = Q_tau[q] + _unblock(gg[q] @ D[run, j])
             H = _lower(J, -0.5 * J @ se3.curly_hat(eps))

@@ -14,9 +14,11 @@ dT/ds = hat6(eps) T, so simulated strains feed the prior directly.
 
 One fixed-step RK4 integrates the transported stress for a stack of base
 values, each with its own routed tendon stress, so a whole dataset is shot
-at once: a Newton iteration is mostly one coarse sweep without poses over
-the step trials and next finite differences of all configurations, and
-one dense pass at the requested resolution carries every shape's pose.
+at once: a Newton iteration is mostly one sweep without poses over the
+step trials and next finite differences of all configurations, and one
+dense pass at the requested resolution carries every shape's pose. Newton
+climbs SHOOTING_RUNGS, coarse resolutions whose last roots and Jacobians
+start the next one.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ MAX_SHOOTING_ITERATIONS = 50
 # Finite-difference step for the shooting Jacobian.
 SHOOTING_FD_STEP = 1e-7
 MIN_STEPS_PER_SEGMENT = 200
-# Newton iterations shoot at this resolution; the dense shape at the
-# requested one is polished only if its tip misses SHOOTING_TOL, since RK4
-# truncation error here is still well under the tol.
-COARSE_SHOOTING_STEPS = 128
+# Newton climbs these resolutions in steps per segment: from the zero guess
+# at the first, and at each next one from the last roots and Jacobians. A
+# sweep costs mostly per-step overhead, so the cheap first rung takes the
+# long way in. The dense shape at the requested resolution is polished only
+# if its tip misses SHOOTING_TOL, since RK4 truncation error at the last
+# rung is still well under the tol.
+SHOOTING_RUNGS = (32, 128)
 # Undeformed rod: unit stretch along the local x axis, no shear or curvature.
 REST_STRAIN = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 # -curly_hat(eps)^T sigma as the product (sigma_i eps_k)_{6 i + k} @ _STRESS_RATE.
@@ -346,23 +351,32 @@ def integrate_rod(
     return shapes[0], residuals[0]
 
 
-def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment):
+def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment, jac=None):
     """Damped Newton on the base stresses (C, 6) of C configurations.
 
     The forward map is stiff for large trial stresses, so each step is
     backtracked over 12 halvings until the residual norm decreases;
-    non-finite trials count as failures. One RK4 sweep per iteration holds
-    the trials at step sizes 1, 1/2 and 1/4 and the finite differences
-    around the full step, which leave that step's Jacobian ready. Where all
-    three fail a second sweep tries the other nine, and a shorter step gets
-    its finite differences in a sweep of its own. Returns the roots and, per
-    configuration, None or the ShootingError it meets when shot alone.
+    non-finite trials count as failures. The first sweep takes the residual
+    of every guess and the finite differences around it. One RK4 sweep per
+    iteration holds the trials at step sizes 1, 1/2 and 1/4 and the finite
+    differences around the full step, which leave that step's Jacobian
+    ready. Where all three fail a second sweep tries the other nine, and a
+    shorter step gets its finite differences in a sweep of its own. Returns
+    the roots and, per configuration, None or the ShootingError it meets
+    when shot alone.
+
+    jac, if given, is a (C, 6, 6) array of Jacobians at the guesses, such
+    as a coarser resolution's last ones: the first sweep takes finite
+    differences only for the configurations whose Jacobian holds a NaN.
+    It is overwritten with each configuration's last Jacobian.
     """
 
-    def residuals_of(guesses, rows):  # (A, k, 6): k trials per configuration
-        tendons = np.repeat(routed[:, rows], guesses.shape[1], axis=1)
-        tips = _rk4(props, guesses.reshape(-1, 6), tendons, steps_per_segment)
-        return tips.reshape(guesses.shape) - tip_wrench[rows, None, :]
+    def residuals_of(guesses, rows, take=None):  # (A, k, 6): k trials per configuration, NaN where not taken
+        take = np.ones(guesses.shape[:2], dtype=bool) if take is None else take
+        configs = np.broadcast_to(rows[:, None], take.shape)[take]
+        out = np.full(guesses.shape, np.nan)
+        out[take] = _rk4(props, guesses[take], routed[:, configs], steps_per_segment) - tip_wrench[configs]
+        return out
 
     def bumped(x):  # finite-difference steps (A, 6) and stresses (A, 6, 6) around x
         fd_steps = SHOOTING_FD_STEP * np.maximum(1.0, np.abs(x))
@@ -379,9 +393,14 @@ def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment):
             errors[c] = ShootingError(message.format(norm=np.max(np.abs(residual[c]))), residual[c])
 
     guess, errors, active = np.array(guess, dtype=float), [None] * len(guess), np.arange(len(guess))
+    jac = np.full((len(guess), 6, 6), np.nan) if jac is None else jac
+    unknown = np.isnan(jac).any(axis=(1, 2))
     fd_steps, fd_rows = bumped(guess)
-    first = residuals_of(np.concatenate([guess[:, None], fd_rows], axis=1), active)
-    residual, jac = first[:, 0], slopes(first[:, 1:], first[:, 0], fd_steps)
+    take = np.ones((len(guess), 7), dtype=bool)
+    take[~unknown, 1:] = False
+    first = residuals_of(np.concatenate([guess[:, None], fd_rows], axis=1), active, take)
+    residual = first[:, 0]
+    jac[unknown] = slopes(first[unknown, 1:], residual[unknown], fd_steps[unknown])
     stale = np.zeros(len(guess), dtype=bool)  # took a shorter step: no Jacobian yet
     alphas, likely = 0.5 ** np.arange(12), 3
     for _ in range(MAX_SHOOTING_ITERATIONS):
@@ -422,6 +441,29 @@ def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment):
     return guess, errors
 
 
+def _climb(props, routed, tip_wrench):
+    """Roots (C, 6) at the last of SHOOTING_RUNGS and, per configuration,
+    None or its ShootingError: Newton from the zero guess at the first
+    rung, then at each next one from the last rung's roots and Jacobians.
+    A configuration that meets an error on the way is shot again from the
+    zero guess at the last rung alone, so it gets the root or the error of
+    a one-rung shoot."""
+    guess, rows = np.zeros_like(tip_wrench), np.arange(len(tip_wrench))
+    jac = np.full((len(rows), 6, 6), np.nan)  # one per row, unknown at the zero guess
+    for steps in SHOOTING_RUNGS:
+        guess[rows], failed = _newton_shoot(props, routed[:, rows], tip_wrench[rows], guess[rows], steps, jac)
+        kept = [f is None for f in failed]
+        rows, jac = rows[kept], jac[kept]
+    errors = [None] * len(tip_wrench)
+    retry = np.delete(np.arange(len(tip_wrench)), rows)
+    if retry.size:
+        zeros = np.zeros((retry.size, 6))
+        guess[retry], failed = _newton_shoot(props, routed[:, retry], tip_wrench[retry], zeros, SHOOTING_RUNGS[-1])
+        for c, f in zip(retry, failed):
+            errors[c] = f
+    return guess, errors
+
+
 def _solve(props: RodProperties, actuations, steps_per_segment: int) -> list:
     """Shapes of many actuations, each as solve_static describes, solved
     together. Raises the ShootingError of the lowest-index configuration
@@ -429,16 +471,16 @@ def _solve(props: RodProperties, actuations, steps_per_segment: int) -> list:
     steps = _rounded_steps(props, steps_per_segment)
     routed = _routed_stress(props, [tendon_point_wrenches(props, a) for a in actuations])
     tip = np.array([a.tip_wrench for a in actuations], dtype=float)
-    guess, shapes, errors = np.zeros_like(tip), [None] * len(tip), [None] * len(tip)
-    rows = list(range(len(tip)))
-    for shoot_steps in (COARSE_SHOOTING_STEPS, steps):
-        guess[rows], failed = _newton_shoot(props, routed[:, rows], tip[rows], guess[rows], shoot_steps)
+    guess, failed = _climb(props, routed, tip)
+    shapes, errors, rows = [None] * len(tip), [None] * len(tip), list(range(len(tip)))
+    for polished in (False, True):
         dense, residuals, diverged = _integrate(props, guess[rows], routed[:, rows], tip[rows], steps)
         for c, shape, f, d in zip(rows, dense, failed, diverged):
             shapes[c], errors[c] = shape, f or d
         rows = [c for c, r in zip(rows, residuals) if not errors[c] and np.max(np.abs(r)) >= SHOOTING_TOL]
-        if not rows:
+        if polished or not rows:
             break
+        guess[rows], failed = _newton_shoot(props, routed[:, rows], tip[rows], guess[rows], steps)
     for error in filter(None, errors):
         raise error
     return shapes
@@ -451,10 +493,10 @@ def solve_static(
 ) -> GroundTruthShape:
     """Newton shooting on the base stress until the tip wrench balances.
 
-    Shoots at a coarse resolution first, then integrates the dense shape
-    at the requested one; only if that shape's tip misses the wrench by
-    SHOOTING_TOL does Newton polish at the dense resolution, which RK4 is
-    accurate enough to make rare.
+    Shoots up a ladder of coarse resolutions first, then integrates the
+    dense shape at the requested one; only if that shape's tip misses the
+    wrench by SHOOTING_TOL does Newton polish at the dense resolution,
+    which RK4 is accurate enough to make rare.
     """
     return _solve(props, [actuation], steps_per_segment)[0]
 

@@ -176,6 +176,15 @@ def exp_se3(xi) -> np.ndarray:
     return pose_from_parts(_so3_series(W, sin1, cos2), _apply(_so3_series(W, cos2, sin3), nu))
 
 
+def exp_se3_from_jacobian(xi, J) -> np.ndarray:
+    """exp_se3(xi) from its left Jacobian J = left_jacobian(xi), with no
+    second pass over the angle coefficients: with the rotational block J3,
+    C = I + hat3(omega) J3 and t = J3 nu."""
+    xi = np.asarray(xi, dtype=float)
+    J3 = np.asarray(J, dtype=float)[..., :3, :3]
+    return pose_from_parts(np.eye(3) + hat3(xi[..., 3:6]) @ J3, _apply(J3, xi[..., 0:3]))
+
+
 def log_se3(T) -> np.ndarray:
     """Twist [nu; omega] with exp_se3(log_se3(T)) == T, principal branch."""
     T = np.asarray(T, dtype=float)

@@ -251,11 +251,12 @@ def test_shooting_residual_under_tip_load():
 
 
 def test_dense_shape_is_polished_when_the_coarse_root_misses(monkeypatch):
-    # Eight coarse steps leave a root whose dense tip misses the wrench by
-    # more than SHOOTING_TOL, so Newton must finish at the dense resolution.
+    # Rungs of four and eight steps leave a root whose dense tip misses the
+    # wrench by more than SHOOTING_TOL, so Newton must finish at the dense
+    # resolution.
     props = RodProperties.default()
     reference = rodsim.solve_static(props, TIP_LOADED)
-    monkeypatch.setattr(rodsim, "COARSE_SHOOTING_STEPS", 8)
+    monkeypatch.setattr(rodsim, "SHOOTING_RUNGS", (4, 8))
     shape = rodsim.solve_static(props, TIP_LOADED)
     np.testing.assert_allclose(shape.sigma[-1], TIP_LOADED.tip_wrench, atol=rodsim.SHOOTING_TOL)
     np.testing.assert_allclose(shape.nodes[-1].T, reference.nodes[-1].T, atol=1e-8)
@@ -453,22 +454,22 @@ def test_sample_dataset_is_solve_static_on_each_draw(loaded_fraction, tendons):
 
 
 def test_batch_polishes_only_the_shapes_that_miss(monkeypatch):
-    # Eight coarse steps leave the loaded roots short of the dense
-    # resolution; unloaded shapes carry no transported stress and hit.
+    # Rungs of four and eight steps leave the loaded roots short of the
+    # dense resolution; unloaded shapes carry no transported stress and hit.
     props = RodProperties.default()
-    monkeypatch.setattr(rodsim, "COARSE_SHOOTING_STEPS", 8)
+    monkeypatch.setattr(rodsim, "SHOOTING_RUNGS", (4, 8))
     shoot = rodsim._newton_shoot
     calls = []
 
-    def spy(props, routed, tip_wrench, guess, steps):
-        roots, errors = shoot(props, routed, tip_wrench, guess, steps)
+    def spy(props, routed, tip_wrench, guess, steps, jac=None):
+        roots, errors = shoot(props, routed, tip_wrench, guess, steps, jac)
         calls.append((tip_wrench.copy(), steps, roots.copy()))
         return roots, errors
 
     monkeypatch.setattr(rodsim, "_newton_shoot", spy)
     data = rodsim.sample_dataset(props, 6, loaded_fraction=0.5, seed=2)
-    assert [steps for _, steps, _ in calls] == [8, 203]
-    (tips, _, roots), (polished_tips, _, _) = calls
+    assert [steps for _, steps, _ in calls] == [4, 8, 203]
+    _, (tips, _, roots), (polished_tips, _, _) = calls
     miss = []
     for index, (act, root) in enumerate(zip((a for a, _ in data), roots)):
         wrenches = rodsim.tendon_point_wrenches(props, act)
@@ -550,7 +551,7 @@ def test_newton_shoot_matches_a_plain_reference():
     ]
     routed = rodsim._routed_stress(props, [rodsim.tendon_point_wrenches(props, a) for a in actuations])
     tips = np.array([a.tip_wrench for a in actuations])
-    steps = rodsim.COARSE_SHOOTING_STEPS
+    steps = rodsim.SHOOTING_RUNGS[-1]
     roots, errors = rodsim._newton_shoot(props, routed, tips, np.zeros_like(tips), steps)
     assert errors == [None] * len(actuations)
     taken = []
@@ -568,17 +569,73 @@ def test_one_rk4_sweep_per_shooting_iteration(monkeypatch):
     rk4, sweeps = rodsim._rk4, []
 
     def spy(props, base_stresses, routed, steps, poses=False):
-        sweeps.append((len(base_stresses), poses))
+        sweeps.append((len(base_stresses), steps, poses))
         return rk4(props, base_stresses, routed, steps, poses)
 
     monkeypatch.setattr(rodsim, "_rk4", spy)
     rodsim.sample_dataset(props, 8, seed=11)
-    # 7 iterations: a first sweep, one per iteration, two finite-difference
-    # catch-ups after shorter steps and one dense pass. Separate sweeps for
-    # the finite differences and the line search would make 16.
-    assert len(sweeps) == 11
-    assert [poses for _, poses in sweeps] == [False] * 10 + [True]
-    assert sweeps[0] == (8 * 7, False) and sweeps[-1] == (8, True)
+    # The first rung makes 7 iterations: a first sweep of every residual
+    # and its 6 finite differences, one sweep per iteration (9 rows per
+    # loaded configuration: 3 trials and 6 finite differences) and two
+    # finite-difference catch-ups after shorter steps. The second starts
+    # from those roots and Jacobians, so its first sweep takes one residual
+    # per configuration and one iteration converges. Then one dense pass.
+    # A single rung at 128 steps makes 10 sweeps at that resolution.
+    assert sweeps == [
+        (8 * 7, 32, False), (4 * 9, 32, False), (3 * 6, 32, False), (4 * 9, 32, False),
+        (1 * 6, 32, False), (4 * 9, 32, False), (4 * 9, 32, False), (4 * 9, 32, False),
+        (3 * 9, 32, False), (1 * 9, 32, False),
+        (8, 128, False), (4 * 9, 128, False),
+        (8, 203, True),
+    ]
+
+
+def shooting_inputs(props, actuations):
+    routed = rodsim._routed_stress(props, [rodsim.tendon_point_wrenches(props, a) for a in actuations])
+    return routed, np.array([a.tip_wrench for a in actuations])
+
+
+def test_ladder_roots_match_a_plain_newton_at_the_last_rung():
+    props = RodProperties.default()
+    data = rodsim.sample_dataset(props, 24, seed=1)
+    routed, tips = shooting_inputs(props, [act for act, _ in data])
+    plain, plain_errors = rodsim._newton_shoot(props, routed, tips, np.zeros_like(tips), rodsim.SHOOTING_RUNGS[-1])
+    roots, errors = rodsim._climb(props, routed, tips)
+    assert errors == plain_errors == [None] * 24
+    np.testing.assert_allclose(roots, plain, rtol=0, atol=1e-8)
+    # Unloaded configurations are converged at the zero guess on every rung.
+    np.testing.assert_array_equal(roots[12:], plain[12:])
+    for act, shape in data:
+        assert np.max(np.abs(shape.sigma[-1] - act.tip_wrench)) < rodsim.SHOOTING_TOL
+
+
+def test_a_first_rung_failure_gets_the_one_rung_outcome(monkeypatch):
+    # The first rung stops after 7 iterations, where configurations 1, 4
+    # and 5 have not converged; shot again at the last rung with 8, 5
+    # converges and 1 and 4 fail as a one-rung shoot fails.
+    props = RodProperties.default()
+    routed, tips = shooting_inputs(props, [act for act, _ in rodsim.sample_dataset(props, 12, seed=1)])
+    monkeypatch.setattr(rodsim, "MAX_SHOOTING_ITERATIONS", 8)
+    plain, plain_errors = rodsim._newton_shoot(props, routed, tips, np.zeros_like(tips), rodsim.SHOOTING_RUNGS[-1])
+    shoot, first_rung_failures = rodsim._newton_shoot, []
+
+    def spy(props, routed, tip_wrench, guess, steps, jac=None):
+        if steps != rodsim.SHOOTING_RUNGS[0]:
+            return shoot(props, routed, tip_wrench, guess, steps, jac)
+        with monkeypatch.context() as patch:
+            patch.setattr(rodsim, "MAX_SHOOTING_ITERATIONS", 7)
+            roots, errors = shoot(props, routed, tip_wrench, guess, steps, jac)
+        first_rung_failures.extend(c for c, e in enumerate(errors) if e)
+        return roots, errors
+
+    monkeypatch.setattr(rodsim, "_newton_shoot", spy)
+    roots, errors = rodsim._climb(props, routed, tips)
+    assert first_rung_failures == [1, 4, 5]
+    assert [c for c, e in enumerate(plain_errors) if e] == [c for c, e in enumerate(errors) if e] == [1, 4]
+    for c in (1, 4):
+        assert str(errors[c]) == str(plain_errors[c])
+        np.testing.assert_array_equal(errors[c].residual, plain_errors[c].residual)
+    np.testing.assert_array_equal(roots[5], plain[5])
 
 
 def sequential_measurements(shape, scenario, props, noise, rng):

@@ -244,6 +244,19 @@ def test_log_exp_roundtrip_across_taylor_threshold():
         np.testing.assert_allclose(se3.log_se3(se3.exp_se3(x)), x, rtol=0, atol=1e-13)
 
 
+def test_exp_from_the_left_jacobian_matches_exp_se3():
+    # Stacked twists over both branches of the angle coefficients, and at
+    # rotation angles up to 3 rad, where the closed forms carry the most.
+    gen = np.random.default_rng(10)
+    X = np.stack(list(sweep_twists(gen)) + [np.concatenate([gen.uniform(-1, 1, 3), [0.0, 3.0, 0.0]])])
+    theta = np.linalg.norm(X[:, 3:], axis=1)
+    assert (theta < se3.TAYLOR_ANGLE).any() and (theta >= se3.TAYLOR_ANGLE).any()
+    T = se3.exp_se3_from_jacobian(X, se3.left_jacobian(X))
+    np.testing.assert_allclose(T, se3.exp_se3(X), rtol=0, atol=1e-15)
+    # The translation is J3 nu in both, bit for bit.
+    np.testing.assert_array_equal(T[:, :3, 3], se3.exp_se3(X)[:, :3, 3])
+
+
 TWIST_MAPS = [
     se3.hat3,
     se3.hat6,
