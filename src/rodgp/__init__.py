@@ -8,7 +8,6 @@ A static tendon-driven-rod simulator supplies ground truth for studies.
 
 from . import cli, config, interpolation, measurements, prior, rodsim, se3, solver, study
 from .config import ConfigError, RunConfig, default_config, load_config, parse_config
-from .interpolation import query_cov, query_state
 from .measurements import PoseMeasurement, StrainMeasurement
 from .prior import PriorHyperparams, StateNode, sample_prior, uniform_grid
 from .rodsim import (
@@ -53,8 +52,6 @@ __all__ = [
     "measurements",
     "parse_config",
     "prior",
-    "query_cov",
-    "query_state",
     "rodsim",
     "run_single",
     "run_study",

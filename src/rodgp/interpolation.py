@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import se3
-from .prior import StateNode, kron6, process_coeffs, process_coeffs_inv, process_cov
+from .prior import StateNode, kron6, process_coeffs, process_coeffs_inv, process_cov, transition_coeffs
 from .solver import Solution
 
 # Queries this close to a node return that node's estimate.
@@ -25,29 +25,15 @@ NODE_HIT_TOL = 1e-12
 QUERY_CHUNK = 128
 
 
-def _transition(ds) -> np.ndarray:
-    """(..., 2, 2) arclength structure [[1, ds], [0, 1]] of the transition."""
-    out = np.zeros(np.shape(ds) + (2, 2))
-    out[..., 0, 0] = out[..., 1, 1] = 1.0
-    out[..., 0, 1] = ds
-    return out
-
-
 def gains(tau, s_k, s_k1) -> np.ndarray:
     """(..., 2, 4) scalar gains [lambda, psi] for queries at tau inside [s_k, s_k1]."""
     tau, s_k, s_k1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (tau, s_k, s_k1)))
     if not np.all((s_k <= tau) & (tau <= s_k1) & (s_k < s_k1)):
         raise ValueError("query arclength must lie inside the interval")
-    psi = process_coeffs(tau - s_k) @ np.swapaxes(_transition(s_k1 - tau), -1, -2) @ process_coeffs_inv(s_k1 - s_k)
-    lam = _transition(tau - s_k) - psi @ _transition(s_k1 - s_k)
+    phi_T = np.swapaxes(transition_coeffs(s_k1 - tau), -1, -2)
+    psi = process_coeffs(tau - s_k) @ phi_T @ process_coeffs_inv(s_k1 - s_k)
+    lam = transition_coeffs(tau - s_k) - psi @ transition_coeffs(s_k1 - s_k)
     return np.concatenate([lam, psi], axis=-1)
-
-
-def interp_matrices(tau, s_k, s_k1, hyper):
-    """Gain matrices (Lambda, Psi) for a query at tau inside [s_k, s_k1], or
-    stacks: the Kronecker expansion of gains(). They do not depend on hyper."""
-    g = gains(tau, s_k, s_k1)
-    return kron6(g[..., 0:2], np.eye(6)), kron6(g[..., 2:4], np.eye(6))
 
 
 def _lower(A, B):
@@ -152,12 +138,3 @@ def query(solutions, taus):
     states = [StateNode(taus, T_out[run], eps_out[run]) for run in range(R)]
     return (states[0], covs[0]) if single else (states, list(covs))
 
-
-def query_state(solution: Solution, tau: float) -> StateNode:
-    """Posterior mean state at an arbitrary arclength."""
-    return query(solution, tau)[0][0]
-
-
-def query_cov(solution: Solution, tau: float) -> np.ndarray:
-    """Posterior 12x12 covariance at an arbitrary arclength."""
-    return query(solution, tau)[1][0]

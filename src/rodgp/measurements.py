@@ -1,10 +1,10 @@
-"""Pose and strain measurement models: errors, Jacobians, corruption.
+"""Pose and strain measurement models: the pose residual, corruption.
 
 Pose measurements compare on the group, e = log(T_meas T^-1), so partial
 pose sensing is row selection of that 6-vector. Strain measurements are
-plain differences. Masks select which of the 6 components a sensor
-observes; covariances R are always stored full-size and reduced to the
-masked subspace when weighting.
+plain differences, e = eps_meas - eps. Masks select which of the 6
+components a sensor observes; covariances R are always stored full-size,
+and the solver weighs the masked subspace by R^-1 embedded in 6x6 zeros.
 """
 
 from __future__ import annotations
@@ -75,12 +75,6 @@ class StrainMeasurement:
         self.R = _check_cov(self.R, self.mask)
 
 
-def pose_error(meas: PoseMeasurement, T) -> np.ndarray:
-    """Masked rows of log(T_meas T^-1)."""
-    full = se3.log_se3(meas.T_meas @ se3.pose_inverse(T))
-    return full[meas.mask]
-
-
 def pose_residual(T_meas, T):
     """Unmasked pose error log(T_meas T^-1) and its 6x6 pose Jacobian.
 
@@ -90,38 +84,6 @@ def pose_residual(T_meas, T):
     rel = np.asarray(T_meas, dtype=float) @ se3.pose_inverse(T)
     e = se3.log_se3(rel)
     return e, -se3.left_jacobian_inv(e) @ se3.adjoint(rel)
-
-
-def pose_error_jacobian(meas: PoseMeasurement, T) -> np.ndarray:
-    """Masked rows of the 6x12 Jacobian w.r.t. (dt, de) at the node.
-
-    The pose block is pose_residual's Jacobian and the strain block is zero.
-    """
-    J = np.zeros((6, 12))
-    J[:, 0:6] = pose_residual(meas.T_meas, T)[1]
-    return J[meas.mask, :]
-
-
-def strain_error(meas: StrainMeasurement, eps) -> np.ndarray:
-    """Masked rows of eps_meas - eps."""
-    return (meas.eps_meas - np.asarray(eps, dtype=float))[meas.mask]
-
-
-def strain_error_jacobian(meas: StrainMeasurement) -> np.ndarray:
-    """Masked rows of [0, -I] w.r.t. (dt, de) at the node."""
-    J = np.zeros((6, 12))
-    J[:, 6:12] = -np.eye(6)
-    return J[meas.mask, :]
-
-
-def measurement_cost(error, R, mask) -> float:
-    """0.5 * e^T R^-1 e on the masked subspace."""
-    mask = _check_mask(mask)
-    e = np.asarray(error, dtype=float)
-    if e.shape != (int(mask.sum()),):
-        raise ValueError("error length must match the mask")
-    sub = np.asarray(R, dtype=float)[np.ix_(mask, mask)]
-    return 0.5 * float(e @ np.linalg.solve(sub, e))
 
 
 def noise_factor(R) -> np.ndarray:

@@ -9,7 +9,7 @@ derivative) a linear SDE with closed-form transition and process noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class StateNode:
 
     Fields of shape (n,), (n, 4, 4) and (n, 6) hold a stack of n nodes,
     which indexes, iterates and takes item assignment like a list of them:
-    nodes[k] is a single node (a copy) and nodes[a:b] a stack.
+    nodes[k] is a single node (a copy) and nodes[a:b] a stack. A leading
+    axis stacks stacks: with s (count, n), nodes[i] is the i-th stack.
     """
 
     s: float
@@ -117,9 +118,7 @@ def transition(s, s_prev) -> np.ndarray:
     ds = np.asarray(s, dtype=float) - s_prev
     if np.any(ds < 0):
         raise ValueError("transition requires s >= s_prev")
-    Phi = np.broadcast_to(np.eye(12), ds.shape + (12, 12)).copy()
-    Phi[..., 0:6, 6:12] = ds[..., None, None] * np.eye(6)
-    return Phi
+    return kron6(transition_coeffs(ds), np.eye(6))
 
 
 def kron6(coeffs, M) -> np.ndarray:
@@ -127,6 +126,13 @@ def kron6(coeffs, M) -> np.ndarray:
     for (..., 2, 2) coeffs and a 6x6 M."""
     coeffs = np.asarray(coeffs, dtype=float)
     return (coeffs[..., :, None, :, None] * M[:, None, :]).reshape(coeffs.shape[:-2] + (12, 12))
+
+
+def transition_coeffs(ds) -> np.ndarray:
+    """(..., 2, 2) arclength structure [[1, ds], [0, 1]] of the transition Phi = phi (x) I."""
+    ds = np.asarray(ds, dtype=float)
+    one, zero = np.ones(ds.shape), np.zeros(ds.shape)
+    return np.moveaxis(np.array([[one, ds], [zero, one]]), (0, 1), (-2, -1))
 
 
 def process_coeffs(ds) -> np.ndarray:
@@ -160,9 +166,14 @@ def process_cov_inv(ds, hyper: PriorHyperparams) -> np.ndarray:
 
 
 def prior_terms(prev: StateNode, cur: StateNode) -> tuple:
-    """(prior_error, prior_error_jacobian) of each interval from one pass:
-    both need the relative pose T_k T_{k-1}^-1, its log and the inverse
-    left Jacobian of that log."""
+    """Prior error e (12,) and 12x24 Jacobian E of each interval, or stacks,
+    from one pass over T_k T_{k-1}^-1 = exp(hat6(xi)), xi and J(xi)^-1:
+    e = [xi - ds eps_{k-1}; J(xi)^-1 eps_k - eps_{k-1}], zero on
+    constant-strain rollouts. E is w.r.t. (dt_{k-1}, de_{k-1}, dt_k, de_k)
+    under left perturbations T <- exp(hat6(dt)) T; its strain-row pose
+    blocks use the 0.5 curly_hat(eps_k) linearisation the solver consumes,
+    accurate to first order in the inter-node twist.
+    """
     ds = np.asarray(cur.s - prev.s, dtype=float)[..., None]
     rel = cur.T @ se3.pose_inverse(prev.T)
     xi = se3.log_se3(rel)
@@ -183,40 +194,9 @@ def prior_terms(prev: StateNode, cur: StateNode) -> tuple:
     return e, E
 
 
-def prior_error(prev: StateNode, cur: StateNode) -> np.ndarray:
-    """12-vector prior error of one interval, zero on constant-strain rollouts.
-
-    Top block: log(T_k T_{k-1}^-1) - ds * eps_{k-1}. Bottom block:
-    J(log(T_k T_{k-1}^-1))^-1 eps_k - eps_{k-1}. Stacked nodes give one
-    error per interval.
-    """
-    return prior_terms(prev, cur)[0]
-
-
-def prior_error_jacobian(prev: StateNode, cur: StateNode) -> np.ndarray:
-    """12x24 Jacobian of prior_error w.r.t. (dt_{k-1}, de_{k-1}, dt_k, de_k).
-
-    Stacked nodes give one Jacobian per interval. Pose perturbations are
-    left perturbations T <- exp(hat6(dt)) T. The strain-row pose blocks use
-    the first-order 0.5 * curly_hat(eps_k) linearisation of the
-    inverse-Jacobian derivative, which is the form the solver consumes; it
-    is accurate to first order in the inter-node twist.
-    """
-    return prior_terms(prev, cur)[1]
-
-
-def prior_cost(errors, grid, hyper: PriorHyperparams) -> float:
-    """Sum of 0.5 * e^T Q^-1 e over the per-interval errors."""
-    s = validate_grid(grid)
-    errors = np.asarray(errors, dtype=float)
-    if errors.shape != (s.size - 1, 12):
-        raise ValueError(f"expected {(s.size - 1, 12)} errors, got {errors.shape}")
-    Qi_e = (process_cov_inv(np.diff(s), hyper) @ errors[..., None])[..., 0]
-    return 0.5 * float(np.sum(errors * Qi_e))
-
-
 def sample_prior(hyper: PriorHyperparams, grid, count: int, rng, root_pose=None):
-    """Draw rod-shape samples by sequential rollout from the root, all at once.
+    """Draw rod-shape samples by sequential rollout from the root, all at
+    once: one StateNode with s (count, n), T (count, n, 4, 4), eps (count, n, 6).
 
     Each sample starts at gamma = (0, eps_bar) in the root frame, propagates
     the current gamma through the interval transition, adds Cholesky-shaped
@@ -241,5 +221,4 @@ def sample_prior(hyper: PriorHyperparams, grid, count: int, rng, root_pose=None)
         gamma = (Phi[k - 1] @ gamma[..., None] + L[k - 1] @ z[:, k - 1, :, None])[..., 0]
         poses.append(se3.exp_se3(gamma[:, 0:6]) @ poses[-1])
         strains.append((se3.left_jacobian(gamma[:, 0:6]) @ gamma[:, 6:12, None])[..., 0])
-    poses, strains = np.stack(poses, axis=1), np.stack(strains, axis=1)
-    return [[StateNode(*node) for node in zip(s, T, eps)] for T, eps in zip(poses, strains)]
+    return StateNode(np.broadcast_to(s, (count, s.size)), np.stack(poses, axis=1), np.stack(strains, axis=1))

@@ -188,22 +188,6 @@ def linearize(problem: Problem, T, eps, runs=slice(None)):
     return H_diag, H_off, b, cost
 
 
-def assemble(problem: Problem, nodes):
-    """Normal equations at an operating point with the locked rows and
-    columns deleted.
-
-    Returns (diag, off, rhs, free) where diag[k] is the k-th diagonal
-    block, off[k] couples nodes k and k+1, rhs is -gradient, and free[k]
-    holds the unlocked dimension indices of node k.
-    """
-    stack = stack_nodes(nodes)
-    H_diag, H_off, b, _ = linearize(problem, stack.T, stack.eps)
-    free = [np.flatnonzero(~row) for row in problem.locks]
-    diag = [H_diag[k][np.ix_(f, f)] for k, f in enumerate(free)]
-    off = [H_off[k][np.ix_(free[k], free[k + 1])] for k in range(len(free) - 1)]
-    return diag, off, [b[k][f] for k, f in enumerate(free)], free
-
-
 def _block_masks(free):
     """Entries of the diagonal and of the coupling blocks whose two
     dimensions are both free, from the (..., n, w) free mask."""
@@ -319,41 +303,6 @@ def cr_marginals(factor):
         C = _interleave(-_t(G[..., :w]), -G[..., : P.shape[-3] - 1, :, w:])
         P = _interleave(P, _t(Li) @ Li + G @ _t(F))
     return P, C
-
-
-def block_tridiag_cholesky(diag, off):
-    """Factor a block-tridiagonal SPD matrix given as ragged blocks, with
-    off[k] = A[k, k+1]: (cr_factor of the system padded with pinned
-    dimensions to its widest block, (n, w) mask of the real dimensions).
-    Raises numpy.linalg.LinAlgError when it is not positive definite."""
-    sizes = np.array([len(d) for d in diag])
-    free = np.arange(sizes.max()) < sizes[:, None]
-    masks = _block_masks(free)
-    D, U = (np.zeros(mask.shape) for mask in masks)
-    for M, mask, blocks in zip((D, U), masks, (diag, off)):
-        M[mask] = np.concatenate([np.zeros(0)] + [np.ravel(blk) for blk in blocks])
-    return cr_factor(*pin(free, D, U, np.zeros(free.shape))[:2]), free
-
-
-def block_tridiag_solve_factored(factor, free, rhs):
-    """Solve A x = rhs given the factor from block_tridiag_cholesky."""
-    b = np.zeros(free.shape)
-    b[free] = np.concatenate(rhs)
-    x = cr_solve(factor, b)
-    return [x[k][f] for k, f in enumerate(free)]
-
-
-def solve_block_tridiag(diag, off, rhs):
-    """Factor and solve in one call, for ragged blocks."""
-    return block_tridiag_solve_factored(*block_tridiag_cholesky(diag, off), rhs)
-
-
-def block_tridiag_marginals(factor, free):
-    """Diagonal and first superdiagonal blocks of the inverse, as ragged
-    blocks; never forms the dense inverse."""
-    P, C = cr_marginals(factor)
-    diag = [P[k][np.ix_(f, f)] for k, f in enumerate(free)]
-    return diag, [C[k][np.ix_(free[k], free[k + 1])] for k in range(len(free) - 1)]
 
 
 @dataclass
@@ -494,7 +443,8 @@ def factorize(problem: Problem):
 
 
 def sample_posterior(solution: Solution, count: int, rng):
-    """Draw joint posterior samples x = x_hat (+) dx, all in one pass.
+    """Draw joint posterior samples x = x_hat (+) dx, all in one pass: one
+    StateNode with s (count, n), T (count, n, 4, 4) and eps (count, n, 6).
 
     dx comes from cr_sample on standard normal draws, so its covariance is
     the inverse of the factored system. Locked dimensions stay at their
@@ -506,4 +456,4 @@ def sample_posterior(solution: Solution, count: int, rng):
     full = np.where(free, cr_sample(solution.factor, rng.standard_normal((count,) + free.shape)), 0.0)
     T = se3.exp_se3(full[..., 0:6]) @ nodes.T
     eps = nodes.eps + full[..., 6:12]
-    return [[StateNode(s, T[i, k], eps[i, k]) for k, s in enumerate(nodes.s)] for i in range(count)]
+    return StateNode(np.broadcast_to(nodes.s, (count,) + nodes.s.shape), T, eps)

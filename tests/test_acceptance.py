@@ -5,13 +5,20 @@ import time
 import numpy as np
 import pytest
 
-from rodgp import cli, interpolation as interp
+from rodgp import cli
 from rodgp import measurements as meas_mod
-from rodgp import prior, rodsim, se3, solver, study
+from rodgp import interpolation, prior, rodsim, se3, solver, study
 from rodgp.prior import StateNode
 
 from conftest import ACCEPTANCE_LINES, arc_problem
-from test_solver import dense_from_blocks, dense_normal_equations, random_block_system
+from test_solver import (
+    dense_from_blocks,
+    dense_normal_equations,
+    random_block_system,
+    ragged_marginals,
+    ragged_solve,
+    reduced_blocks,
+)
 
 
 def verdict(number, ok, detail):
@@ -81,7 +88,7 @@ def _fd_prior(gen, h=1e-6):
     prev = StateNode(0.0, T_prev, eps + gen.normal(0.0, 1e-5, 6))
     T_cur = se3.exp_se3(gen.normal(0.0, 1e-5, 6)) @ se3.exp_se3(ds * eps) @ T_prev
     cur = StateNode(ds, T_cur, eps + gen.normal(0.0, 1e-5, 6))
-    J = prior.prior_error_jacobian(prev, cur)
+    J = prior.prior_terms(prev, cur)[1]
     num = np.zeros_like(J)
     for j in range(24):
         node_idx, local = divmod(j, 12)
@@ -92,7 +99,7 @@ def _fd_prior(gen, h=1e-6):
                 node.T = se3.exp_se3(sign * h * np.eye(6)[local]) @ node.T
             else:
                 node.eps = node.eps + sign * h * np.eye(6)[local - 6]
-            num[:, j] += sign * prior.prior_error(p, c) / (2.0 * h)
+            num[:, j] += sign * prior.prior_terms(p, c)[0] / (2.0 * h)
     return np.abs(J - num).max() / max(1.0, np.abs(num).max())
 
 
@@ -103,14 +110,17 @@ def _fd_pose(gen, h=1e-6):
     if gen.uniform() < 0.5:
         mask[gen.integers(0, 6)] = False
     m = meas_mod.PoseMeasurement(0.1, T_meas, 0.01 * np.eye(6), mask)
-    J = meas_mod.pose_error_jacobian(m, T)
+
+    def error(T):
+        return meas_mod.pose_residual(m.T_meas, T)[0][m.mask]
+
+    J = np.zeros((6, 12))
+    J[:, 0:6] = meas_mod.pose_residual(m.T_meas, T)[1]
+    J = J[m.mask]
     num = np.zeros_like(J)
     for j in range(6):
         step = h * np.eye(6)[j]
-        num[:, j] = (
-            meas_mod.pose_error(m, se3.exp_se3(step) @ T)
-            - meas_mod.pose_error(m, se3.exp_se3(-step) @ T)
-        ) / (2.0 * h)
+        num[:, j] = (error(se3.exp_se3(step) @ T) - error(se3.exp_se3(-step) @ T)) / (2.0 * h)
     worst = np.abs(J[:, 0:6] - num[:, 0:6]).max() / max(1.0, np.abs(num).max())
     # Strain columns are identically zero: the error never reads eps.
     return max(worst, np.abs(J[:, 6:12]).max())
@@ -121,13 +131,16 @@ def _fd_strain(gen, h=1e-6):
     mask = gen.uniform(size=6) < 0.7
     mask[gen.integers(0, 6)] = True
     m = meas_mod.StrainMeasurement(0.1, eps + gen.normal(0.0, 0.1, 6), np.eye(6), mask)
-    J = meas_mod.strain_error_jacobian(m)
+
+    def error(eps):
+        # The strain residual as linearize forms it, with its rows [0, -I].
+        return (m.eps_meas - eps)[m.mask]
+
+    J = np.hstack([np.zeros((6, 6)), -np.eye(6)])[m.mask]
     num = np.zeros_like(J)
     for j in range(6):
         step = h * np.eye(6)[j]
-        num[:, 6 + j] = (
-            meas_mod.strain_error(m, eps + step) - meas_mod.strain_error(m, eps - step)
-        ) / (2.0 * h)
+        num[:, 6 + j] = (error(eps + step) - error(eps - step)) / (2.0 * h)
     return np.abs(J - num).max() / max(1.0, np.abs(num).max())
 
 
@@ -162,16 +175,16 @@ def test_criterion_03_solver_matches_dense_oracles(props, small_dataset):
         diag, off, rhs = random_block_system(gen, sizes)
         A, starts = dense_from_blocks(diag, off)
         x_dense = np.linalg.solve(A, np.concatenate(rhs))
-        x_sparse = np.concatenate(solver.solve_block_tridiag(diag, off, rhs))
+        x_sparse = np.concatenate(ragged_solve(diag, off, rhs))
         worst = max(worst, rel(x_sparse, x_dense))
-        L, C = solver.block_tridiag_cholesky(diag, off)
-        P_diag, _ = solver.block_tridiag_marginals(L, C)
+        P_diag, _ = ragged_marginals(diag, off)
         P_dense = np.linalg.inv(A)
         for k in range(len(sizes)):
             blk = P_dense[starts[k] : starts[k + 1], starts[k] : starts[k + 1]]
             worst = max(worst, rel(P_diag[k], blk))
 
-    # Same comparison on an assembled estimation problem (31 nodes).
+    # Same comparison on an estimation problem (31 nodes): linearize's
+    # lock-reduced blocks, and the step that gauss_newton takes from them.
     _, shape = small_dataset[0]
     cfg = study.ScenarioConfig(rodsim.Scenario.POSE_AT_SEGMENT_ENDS)
     meas = rodsim.extract_measurements(
@@ -182,17 +195,14 @@ def test_criterion_03_solver_matches_dense_oracles(props, small_dataset):
         grid, cfg.hyperparams(), meas, study.straight_guess(grid, cfg.hyperparams()),
         cfg.locks(grid.size),
     )
-    diag, off, rhs, _ = solver.assemble(problem, problem.initial_guess)
+    diag, off, rhs, _ = reduced_blocks(problem, problem.initial_guess)
     A_ref, b_ref = dense_normal_equations(problem, problem.initial_guess)
     A, _ = dense_from_blocks(diag, off)
     worst = max(worst, rel(A, A_ref), rel(np.concatenate(rhs), b_ref))
-    worst = max(
-        worst,
-        rel(
-            np.concatenate(solver.solve_block_tridiag(diag, off, rhs)),
-            np.linalg.solve(A_ref, b_ref),
-        ),
-    )
+    guess, free = problem.guess, ~problem.locks
+    D, U, b = solver.pin(free, *solver.linearize(problem, guess.T[0], guess.eps[0])[:3])
+    x = solver.cr_solve(solver.cr_factor(D, U), b)
+    worst = max(worst, rel(x[free], np.linalg.solve(A_ref, b_ref)))
     ok = worst < 1e-8
     verdict(3, ok, f"worst relative deviation from dense oracles {worst:.1e}")
 
@@ -233,14 +243,13 @@ def test_criterion_05_interpolation_matches_inserted_nodes(props, small_dataset)
         grid2 = np.sort(np.concatenate([grid, taus]))
         # Warm-start the enlarged problem from the interpolant; a straight
         # restart with 20 extra nodes leaves the convergence basin.
-        guess2 = [interp.query_state(sol, float(t)) for t in grid2]
+        guess2 = interpolation.query(sol, grid2)[0]
         sol2 = solver.gauss_newton(
             solver.Problem(grid2, hyper, meas, guess2, cfg.locks(grid2.size))
         )
         assert sol2.converged
-        for tau in taus:
-            state = interp.query_state(sol, float(tau))
-            cov = interp.query_cov(sol, float(tau))
+        states, covs = interpolation.query(sol, taus)
+        for tau, state, cov in zip(taus, states, covs):
             k = int(np.argmin(np.abs(grid2 - tau)))
             node2, cov2 = sol2.nodes[k], sol2.marginal_covs[k]
             dxi = np.linalg.norm(se3.log_se3(state.T @ se3.pose_inverse(node2.T)))

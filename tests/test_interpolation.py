@@ -21,20 +21,26 @@ def factorized_solution(nodes, hyper=HYPER, measurements=()):
     return solver.factorize(problem)
 
 
+def gain_matrices(tau, s_k, s_k1):
+    """12x12 gains (Lambda, Psi): the scalar gains expanded with kron6."""
+    g = interp.gains(tau, s_k, s_k1)
+    return prior.kron6(g[..., 0:2], np.eye(6)), prior.kron6(g[..., 2:4], np.eye(6))
+
+
 def test_interp_matrices_endpoints():
-    Lam, Psi = interp.interp_matrices(0.2, 0.2, 0.5, HYPER)
+    Lam, Psi = gain_matrices(0.2, 0.2, 0.5)
     np.testing.assert_allclose(Lam, np.eye(12), atol=1e-12)
     np.testing.assert_allclose(Psi, np.zeros((12, 12)), atol=1e-12)
-    Lam, Psi = interp.interp_matrices(0.5, 0.2, 0.5, HYPER)
+    Lam, Psi = gain_matrices(0.5, 0.2, 0.5)
     np.testing.assert_allclose(Lam, np.zeros((12, 12)), atol=1e-9)
     np.testing.assert_allclose(Psi, np.eye(12), atol=1e-9)
 
 
 def test_interp_matrices_rejects_outside():
     with pytest.raises(ValueError):
-        interp.interp_matrices(0.6, 0.2, 0.5, HYPER)
+        interp.gains(0.6, 0.2, 0.5)
     with pytest.raises(ValueError):
-        interp.interp_matrices(0.3, 0.5, 0.2, HYPER)
+        interp.gains(0.3, 0.5, 0.2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -43,7 +49,7 @@ def test_interp_reproduces_transition_rollouts(frac):
     # When the right knot is the transitioned left knot, the interpolant
     # follows the transition at every interior arclength.
     tau = 0.1 + 0.4 * frac
-    Lam, Psi = interp.interp_matrices(tau, 0.1, 0.5, HYPER)
+    Lam, Psi = gain_matrices(tau, 0.1, 0.5)
     gamma = np.arange(1.0, 13.0)
     lhs = Lam @ gamma + Psi @ (prior.transition(0.5, 0.1) @ gamma)
     np.testing.assert_allclose(lhs, prior.transition(tau, 0.1) @ gamma, atol=1e-8)
@@ -54,21 +60,19 @@ def test_query_state_at_nodes_is_exact():
     grid = prior.uniform_grid(1.0, 5)
     nodes = [StateNode(s, se3.exp_se3(s * eps), eps.copy()) for s in grid]
     sol = factorized_solution(nodes)
-    for k, s in enumerate(grid):
-        out = interp.query_state(sol, float(s))
-        np.testing.assert_array_equal(out.T, nodes[k].T)
-        np.testing.assert_array_equal(out.eps, nodes[k].eps)
-        np.testing.assert_allclose(
-            interp.query_cov(sol, float(s)), sol.marginal_covs[k], atol=1e-14
-        )
+    states, covs = interp.query(sol, grid)
+    for k in range(grid.size):
+        np.testing.assert_array_equal(states.T[k], nodes[k].T)
+        np.testing.assert_array_equal(states.eps[k], nodes[k].eps)
+        np.testing.assert_allclose(covs[k], sol.marginal_covs[k], atol=1e-14)
 
 
 def test_query_outside_grid_raises():
     sol = factorized_solution(study.straight_guess(prior.uniform_grid(1.0, 4), HYPER))
     with pytest.raises(ValueError):
-        interp.query_state(sol, -0.1)
+        interp.query(sol, -0.1)
     with pytest.raises(ValueError):
-        interp.query_state(sol, 1.1)
+        interp.query(sol, 1.1)
 
 
 def test_constant_strain_nodes_interpolate_on_geodesic():
@@ -76,8 +80,8 @@ def test_constant_strain_nodes_interpolate_on_geodesic():
     grid = prior.uniform_grid(1.2, 4)
     nodes = [StateNode(s, se3.exp_se3(s * eps), eps.copy()) for s in grid]
     sol = factorized_solution(nodes)
-    for tau in np.linspace(0.01, 1.19, 23):
-        state = interp.query_state(sol, float(tau))
+    taus = np.linspace(0.01, 1.19, 23)
+    for tau, state in zip(taus, interp.query(sol, taus)[0]):
         dev = se3.log_se3(state.T @ se3.pose_inverse(se3.exp_se3(tau * eps)))
         assert np.abs(dev).max() < 1e-9
         np.testing.assert_allclose(state.eps, eps, atol=1e-9)
@@ -96,7 +100,7 @@ def test_translation_nodes_interpolate_as_cubic_hermite():
     ]
     sol = factorized_solution(nodes)
     taus = np.linspace(0.0, ds, 21)
-    positions = np.array([interp.query_state(sol, float(t)).T[:3, 3] for t in taus])
+    positions = interp.query(sol, taus)[0].T[:, :3, 3]
     for axis in range(3):
         coeffs = np.polyfit(taus, positions[:, axis], 3)
         residual = np.abs(np.polyval(coeffs, taus) - positions[:, axis]).max()
@@ -110,8 +114,7 @@ def test_query_cov_symmetric_psd():
     problem, _ = arc_problem()
     sol = solver.gauss_newton(problem)
     grid = sol.grid
-    for tau in np.linspace(grid[0], grid[-1], 17)[1:]:
-        P = interp.query_cov(sol, float(tau))
+    for P in interp.query(sol, np.linspace(grid[0], grid[-1], 17)[1:])[1]:
         np.testing.assert_allclose(P, P.T, atol=1e-10)
         assert np.linalg.eigvalsh(P).min() > -1e-10
 
@@ -141,10 +144,8 @@ def test_inserted_node_close_to_interpolant(props, small_dataset):
     assert sol.converged
     grid = sol.grid
     gen = np.random.default_rng(21)
-    for tau in gen.uniform(grid[0] + 1e-3, grid[-1] - 1e-3, 3):
-        state = interp.query_state(sol, float(tau))
-        cov = interp.query_cov(sol, float(tau))
-
+    taus = gen.uniform(grid[0] + 1e-3, grid[-1] - 1e-3, 3)
+    for tau, state, cov in zip(taus, *interp.query(sol, taus)):
         grid2 = np.sort(np.append(grid, tau))
         guess2 = study.straight_guess(grid2, problem.hyper)
         locks2 = solver.default_locks(grid2.size)
@@ -171,7 +172,8 @@ def test_one_call_query_equals_single_queries(props, small_dataset):
     states, covs = interp.query(sol, taus[order])
     assert len(states) == taus.size and covs.shape == (taus.size, 12, 12)
     for state, cov, tau, node in zip(states, covs, taus[order], is_node[order]):
-        single = interp.query_state(sol, float(tau))
+        single_states, single_covs = interp.query(sol, tau)
+        single = single_states[0]
         assert state.s == single.s == tau
         if node:
             k = int(np.argmin(np.abs(sol.grid - tau)))
@@ -180,7 +182,7 @@ def test_one_call_query_equals_single_queries(props, small_dataset):
             np.testing.assert_array_equal(cov, sol.marginal_covs[k])
         np.testing.assert_allclose(state.T, single.T, rtol=0, atol=1e-15)
         np.testing.assert_allclose(state.eps, single.eps, rtol=1e-14, atol=1e-15)
-        single_cov = interp.query_cov(sol, float(tau))
+        single_cov = single_covs[0]
         np.testing.assert_allclose(cov, single_cov, rtol=0, atol=1e-14 * np.abs(single_cov).max())
     with pytest.raises(ValueError):
         interp.query(sol, np.array([0.1, sol.grid[-1] + 1e-3]))
@@ -196,7 +198,7 @@ def dense_query(solution, tau):
     Q_tau = prior.process_cov(tau - s_k, hyper)
     Psi = Q_tau @ prior.transition(s_k1, tau).T @ prior.process_cov_inv(s_k1 - s_k, hyper)
     Lam = prior.transition(tau, s_k) - Psi @ prior.transition(s_k1, s_k)
-    np.testing.assert_allclose(np.hstack(interp.interp_matrices(tau, s_k, s_k1, hyper)), np.hstack([Lam, Psi]),
+    np.testing.assert_allclose(np.hstack(gain_matrices(tau, s_k, s_k1)), np.hstack([Lam, Psi]),
                                rtol=0, atol=1e-14 * np.abs(Psi).max())
     xi = se3.log_se3(nodes.T[k + 1] @ se3.pose_inverse(nodes.T[k]))
     J_inv = se3.left_jacobian_inv(xi)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodgp import prior, se3
+from rodgp import prior, se3, solver
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import random_pose
@@ -109,13 +109,13 @@ def test_prior_error_zero_on_constant_strain(eps_tuple, ds):
     eps = np.array(eps_tuple)
     prev = StateNode(0.0, np.eye(4), eps)
     cur = rollout_node(eps, ds)
-    np.testing.assert_allclose(prior.prior_error(prev, cur), np.zeros(12), atol=1e-10)
+    np.testing.assert_allclose(prior.prior_terms(prev, cur)[0], np.zeros(12), atol=1e-10)
 
 
 def test_prior_error_zero_on_identical_nodes():
     node = StateNode(0.3, random_pose(rng), np.array([1.0, 0, 0, 0.1, 0, 0]))
     np.testing.assert_allclose(
-        prior.prior_error(node, StateNode(0.3, node.T, node.eps)),
+        prior.prior_terms(node, StateNode(0.3, node.T, node.eps))[0],
         np.zeros(12),
         atol=1e-14,
     )
@@ -130,13 +130,13 @@ def test_prior_error_matches_local_variable_form():
     gamma_prev = np.concatenate([np.zeros(6), prev.eps])
     gamma_cur = np.concatenate([xi, se3.left_jacobian_inv(xi) @ cur.eps])
     expected = gamma_cur - prior.transition(cur.s, prev.s) @ gamma_prev
-    np.testing.assert_allclose(prior.prior_error(prev, cur), expected, atol=1e-12)
+    np.testing.assert_allclose(prior.prior_terms(prev, cur)[0], expected, atol=1e-12)
 
 
 def test_prior_error_jacobian_blocks_at_rest():
     prev = StateNode(0.0, np.eye(4), np.zeros(6))
     cur = StateNode(1.0, np.eye(4), np.zeros(6))
-    E = prior.prior_error_jacobian(prev, cur)
+    E = prior.prior_terms(prev, cur)[1]
     assert E.shape == (12, 24)
     np.testing.assert_allclose(E[:6, :6], -np.eye(6), atol=1e-12)
     np.testing.assert_allclose(E[:6, 6:12], -np.eye(6), atol=1e-12)
@@ -156,8 +156,8 @@ def test_prior_error_jacobian_finite_difference():
         prev = StateNode(0.0, random_pose(rng, 0.5), eps + rng.normal(0.0, 1e-5, 6))
         cur = rollout_node(eps, ds, prev.T)
         cur.eps = cur.eps + rng.normal(0.0, 1e-5, 6)
-        E = prior.prior_error_jacobian(prev, cur)
-        assert np.abs(prior.prior_error(prev, cur)).max() < 1.0
+        e, E = prior.prior_terms(prev, cur)
+        assert np.abs(e).max() < 1.0
         num = np.zeros((12, 24))
         for j in range(24):
             node_idx, local = divmod(j, 12)
@@ -169,42 +169,45 @@ def test_prior_error_jacobian_finite_difference():
                     node.T = se3.exp_se3(sign * h * np.eye(6)[local]) @ node.T
                 else:
                     node.eps = node.eps + sign * h * np.eye(6)[local - 6]
-                num[:, j] += sign * prior.prior_error(p, c) / (2.0 * h)
+                num[:, j] += sign * prior.prior_terms(p, c)[0] / (2.0 * h)
         denom = max(1.0, np.abs(num).max())
         worst = max(worst, np.abs(E - num).max() / denom)
     assert worst < 1e-4
 
 
 def test_prior_cost_values():
+    # linearize prices one interval of length 1 whose prior error is x
+    # times the first unit vector: at rest the node poses differ by
+    # exp(x e_0), so the cost is 0.5 * 12 x^2 under Qc = I.
     grid = np.array([0.0, 1.0])
-    errors = [np.zeros(12)]
-    assert prior.prior_cost(errors, grid, HYPER) == 0.0
-    unit = np.zeros(12)
-    unit[0] = 1.0
-    cost = prior.prior_cost([unit], grid, HYPER)
-    np.testing.assert_allclose(cost, 6.0, atol=1e-12)
-    np.testing.assert_allclose(prior.prior_cost([2.0 * unit], grid, HYPER), 24.0)
 
+    def cost(x):
+        T = se3.exp_se3(x * np.eye(6)[0])
+        nodes = [StateNode(0.0, np.eye(4), np.zeros(6)), StateNode(1.0, T, np.zeros(6))]
+        np.testing.assert_allclose(prior.prior_terms(*nodes)[0], x * np.eye(12)[0], atol=1e-15)
+        stack = prior.stack_nodes(nodes)
+        return solver.linearize(solver.Problem(grid, HYPER, [], nodes), stack.T, stack.eps)[3]
 
-def test_prior_cost_requires_matching_lengths():
-    with pytest.raises(ValueError):
-        prior.prior_cost([np.zeros(12)], np.array([0.0, 0.5, 1.0]), HYPER)
+    assert cost(0.0) == 0.0
+    np.testing.assert_allclose(cost(1.0), 6.0, atol=1e-12)
+    np.testing.assert_allclose(cost(2.0), 24.0)
 
 
 def test_sample_prior_reproducible():
     grid = prior.uniform_grid(0.5, 10)
     a = prior.sample_prior(HYPER, grid, 3, np.random.default_rng(4))
     b = prior.sample_prior(HYPER, grid, 3, np.random.default_rng(4))
-    for sa, sb in zip(a, b):
-        for na, nb in zip(sa, sb):
-            np.testing.assert_array_equal(na.T, nb.T)
-            np.testing.assert_array_equal(na.eps, nb.eps)
+    assert a.T.shape == (3, 11, 4, 4) and a.eps.shape == (3, 11, 6)
+    np.testing.assert_array_equal(a.s, np.broadcast_to(grid, (3, 11)))
+    np.testing.assert_array_equal(a.T, b.T)
+    np.testing.assert_array_equal(a.eps, b.eps)
 
 
 def test_sample_prior_tiny_noise_follows_mean():
     hyper = PriorHyperparams(1e-18 * np.eye(6), np.array([1.0, 0, 0, 0, 0, 0]))
     grid = prior.uniform_grid(2.0, 8)
     (sample,) = prior.sample_prior(hyper, grid, 1, np.random.default_rng(2))
+    assert len(sample) == grid.size
     for s_val, node in zip(grid, sample):
         np.testing.assert_allclose(node.T[:3, 3], [s_val, 0.0, 0.0], atol=1e-8)
         np.testing.assert_allclose(node.eps, hyper.eps_bar, atol=1e-8)
@@ -214,8 +217,7 @@ def test_sample_prior_respects_root_pose():
     root = random_pose(rng)
     grid = prior.uniform_grid(0.5, 4)
     samples = prior.sample_prior(HYPER, grid, 2, np.random.default_rng(3), root_pose=root)
-    for sample in samples:
-        np.testing.assert_array_equal(sample[0].T, root)
+    np.testing.assert_array_equal(samples.T[:, 0], np.broadcast_to(root, (2, 4, 4)))
 
 
 def test_sample_prior_covariance_matches_process_noise():
@@ -225,9 +227,7 @@ def test_sample_prior_covariance_matches_process_noise():
     hyper = PriorHyperparams(qc, np.zeros(6))
     grid = np.array([0.0, 0.5])
     samples = prior.sample_prior(hyper, grid, 20000, np.random.default_rng(7))
-    xis = np.array(
-        [se3.log_se3(s[1].T @ se3.pose_inverse(s[0].T)) for s in samples]
-    )
+    xis = se3.log_se3(samples.T[:, 1] @ se3.pose_inverse(samples.T[:, 0]))
     emp = np.cov(xis.T)
     expected = prior.process_cov(0.5, hyper)[:6, :6]
     assert np.abs(emp - expected).max() < 0.05 * np.abs(expected).max()
@@ -242,7 +242,7 @@ def test_sample_prior_long_rod_lateral_spread():
     )
     grid = prior.uniform_grid(10.0, 50)
     samples = prior.sample_prior(hyper, grid, 300, np.random.default_rng(0))
-    tips = np.array([nodes[-1].T[:3, 3] for nodes in samples])
+    tips = samples.T[:, -1, :3, 3]
     spread = tips.std(axis=0)
     assert spread[1] > 1.0 and spread[2] > 1.0
 
@@ -262,16 +262,12 @@ def test_stacked_prior_terms_equal_unstacked_rows():
     chain = prior.stack_nodes(nodes)
     prev = StateNode(chain.s[:-1], chain.T[:-1], chain.eps[:-1])
     cur = StateNode(chain.s[1:], chain.T[1:], chain.eps[1:])
-    errors = prior.prior_error(prev, cur)
-    jacobians = prior.prior_error_jacobian(prev, cur)
+    errors, jacobians = prior.prior_terms(prev, cur)
     assert errors.shape == (11, 12) and jacobians.shape == (11, 12, 24)
     for k in range(11):
-        np.testing.assert_allclose(
-            errors[k], prior.prior_error(nodes[k], nodes[k + 1]), rtol=1e-14, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            jacobians[k], prior.prior_error_jacobian(nodes[k], nodes[k + 1]), rtol=1e-14, atol=1e-15
-        )
+        error, jacobian = prior.prior_terms(nodes[k], nodes[k + 1])
+        np.testing.assert_allclose(errors[k], error, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(jacobians[k], jacobian, rtol=1e-14, atol=1e-15)
 
 
 def test_stacked_interval_matrices_equal_unstacked():
@@ -285,12 +281,7 @@ def test_stacked_interval_matrices_equal_unstacked():
     stacked = prior.transition(ds + 1.0, np.ones(3))
     for k in range(ds.size):
         np.testing.assert_array_equal(stacked[k], prior.transition(ds[k] + 1.0, 1.0))
-    errors = np.random.default_rng(12).normal(size=(3, 12))
-    grid = np.concatenate([[0.0], np.cumsum(ds)])
-    looped = sum(
-        0.5 * e @ prior.process_cov_inv(d, HYPER) @ e for e, d in zip(errors, ds)
-    )
-    np.testing.assert_allclose(prior.prior_cost(errors, grid, HYPER), looped, rtol=1e-14)
+    np.testing.assert_array_equal(prior.transition_coeffs(ds), [[[1.0, d], [0.0, 1.0]] for d in ds])
 
 
 def test_stacked_state_node_acts_as_a_node_list():

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from rodgp import measurements as meas
 from rodgp import prior, se3, solver, study
 from rodgp.measurements import PoseMeasurement, StrainMeasurement
 from rodgp.prior import PriorHyperparams, StateNode
@@ -38,6 +39,61 @@ def dense_from_blocks(diag, off):
     return A, starts
 
 
+def embed_ragged(diag, off, rhs=None):
+    """The ragged system embedded in 12-wide blocks, each real size first,
+    and pinned outside that free mask as gauss_newton pins locks:
+    (D, U, b, free)."""
+    sizes = [len(d) for d in diag]
+    free = np.arange(12) < np.array(sizes)[:, None]
+    D, U = np.zeros((len(diag), 12, 12)), np.zeros((len(off), 12, 12))
+    for k, d in enumerate(diag):
+        D[k, : sizes[k], : sizes[k]] = d
+    for k, o in enumerate(off):
+        U[k, : sizes[k], : sizes[k + 1]] = o
+    b = np.zeros(free.shape)
+    if rhs is not None:
+        b[free] = np.concatenate(rhs)
+    return (*solver.pin(free, D, U, b), free)
+
+
+def ragged_solve(diag, off, rhs):
+    """cr_factor and cr_solve of the embedded system, on the real sizes."""
+    D, U, b, free = embed_ragged(diag, off, rhs)
+    x = solver.cr_solve(solver.cr_factor(D, U), b)
+    return [x[k][f] for k, f in enumerate(free)]
+
+
+def ragged_marginals(diag, off):
+    """cr_marginals of the embedded system, on the real sizes."""
+    D, U, _, free = embed_ragged(diag, off)
+    P, C = solver.cr_marginals(solver.cr_factor(D, U))
+    return [P[k][np.ix_(f, f)] for k, f in enumerate(free)], [
+        C[k][np.ix_(free[k], free[k + 1])] for k in range(len(free) - 1)
+    ]
+
+
+def reduced_blocks(problem, nodes):
+    """linearize's blocks at the nodes with the locked rows and columns
+    deleted: (diag, off, rhs, free), free[k] the unlocked dimensions of node k."""
+    stack = prior.stack_nodes(nodes)
+    H_diag, H_off, b, _ = solver.linearize(problem, stack.T, stack.eps)
+    free = [np.flatnonzero(~row) for row in problem.locks]
+    diag = [H_diag[k][np.ix_(f, f)] for k, f in enumerate(free)]
+    off = [H_off[k][np.ix_(free[k], free[k + 1])] for k in range(len(free) - 1)]
+    return diag, off, [b[k][f] for k, f in enumerate(free)], free
+
+
+def measurement_terms(m, node):
+    """Masked rows of one measurement's error and of its 6x12 Jacobian
+    w.r.t. (dt, de) at the node."""
+    E = np.zeros((6, 12))
+    if isinstance(m, PoseMeasurement):
+        e, E[:, 0:6] = meas.pose_residual(m.T_meas, node.T)
+    else:
+        e, E[:, 6:12] = m.eps_meas - node.eps, -np.eye(6)
+    return e[m.mask], E[m.mask]
+
+
 def rollout_guess(grid, eps):
     return [StateNode(s, se3.exp_se3(s * eps), eps.copy()) for s in grid]
 
@@ -48,21 +104,13 @@ def dense_normal_equations(problem, nodes):
     A = np.zeros((12 * n, 12 * n))
     b = np.zeros(12 * n)
     for k in range(1, n):
-        e = prior.prior_error(nodes[k - 1], nodes[k])
-        E = prior.prior_error_jacobian(nodes[k - 1], nodes[k])
+        e, E = prior.prior_terms(nodes[k - 1], nodes[k])
         Qi = prior.process_cov_inv(problem.grid[k] - problem.grid[k - 1], problem.hyper)
         idx = np.arange(12 * (k - 1), 12 * (k + 1))
         A[np.ix_(idx, idx)] += E.T @ Qi @ E
         b[idx] -= E.T @ Qi @ e
-    from rodgp import measurements as meas
-
     for m, k in zip(problem.measurements, problem.meas_node):
-        if isinstance(m, PoseMeasurement):
-            e = meas.pose_error(m, nodes[k].T)
-            E = meas.pose_error_jacobian(m, nodes[k].T)
-        else:
-            e = meas.strain_error(m, nodes[k].eps)
-            E = meas.strain_error_jacobian(m)
+        e, E = measurement_terms(m, nodes[k])
         Ri = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
         idx = np.arange(12 * k, 12 * (k + 1))
         A[np.ix_(idx, idx)] += E.T @ Ri @ E
@@ -99,7 +147,7 @@ def test_assemble_zero_gradient_on_prior_rollout():
     grid = prior.uniform_grid(1.5, 6)
     guess = rollout_guess(grid, HYPER.eps_bar)
     problem = solver.Problem(grid, HYPER, [], guess, solver.default_locks(7))
-    _, _, rhs, _ = solver.assemble(problem, guess)
+    _, _, rhs, _ = reduced_blocks(problem, guess)
     assert max(np.abs(r).max() for r in rhs) < 1e-10
 
 
@@ -118,7 +166,7 @@ def test_assemble_matches_dense_brute_force():
         ),
     ]
     problem = solver.Problem(grid, HYPER, ms, nodes, solver.default_locks(5, tip_strain=True))
-    diag, off, rhs, free = solver.assemble(problem, nodes)
+    diag, off, rhs, free = reduced_blocks(problem, nodes)
     A_blocks, _ = dense_from_blocks(diag, off)
     A_dense, b_dense = dense_normal_equations(problem, nodes)
     np.testing.assert_allclose(A_blocks, A_dense, atol=1e-10)
@@ -131,7 +179,7 @@ def test_block_solve_identity():
     diag = [np.eye(3), np.eye(5)]
     off = [np.zeros((3, 5))]
     rhs = [np.arange(3.0), np.arange(5.0)]
-    x = solver.solve_block_tridiag(diag, off, rhs)
+    x = ragged_solve(diag, off, rhs)
     np.testing.assert_allclose(np.concatenate(x), np.concatenate(rhs))
 
 
@@ -140,7 +188,7 @@ def test_block_solve_matches_dense(n_blocks):
     gen = np.random.default_rng(n_blocks)
     sizes = list(gen.integers(2, 13, n_blocks))
     diag, off, rhs = random_block_system(gen, sizes)
-    x = solver.solve_block_tridiag(diag, off, rhs)
+    x = ragged_solve(diag, off, rhs)
     A, _ = dense_from_blocks(diag, off)
     expected = np.linalg.solve(A, np.concatenate(rhs))
     err = np.abs(np.concatenate(x) - expected).max()
@@ -151,8 +199,7 @@ def test_block_marginals_match_dense_inverse():
     gen = np.random.default_rng(8)
     sizes = [6, 12, 4, 12, 9, 12]
     diag, off, _ = random_block_system(gen, sizes)
-    L, C = solver.block_tridiag_cholesky(diag, off)
-    P_diag, P_off = solver.block_tridiag_marginals(L, C)
+    P_diag, P_off = ragged_marginals(diag, off)
     A, starts = dense_from_blocks(diag, off)
     P = np.linalg.inv(A)
     for k in range(len(sizes)):
@@ -172,8 +219,9 @@ def test_block_marginals_match_dense_inverse():
 def test_cholesky_rejects_indefinite():
     diag = [np.eye(2), -np.eye(2)]
     off = [np.zeros((2, 2))]
+    D, U, _, _ = embed_ragged(diag, off)
     with pytest.raises(np.linalg.LinAlgError):
-        solver.block_tridiag_cholesky(diag, off)
+        solver.cr_factor(D, U)
 
 
 def test_solve_scales_linearly():
@@ -183,11 +231,11 @@ def test_solve_scales_linearly():
     gen = np.random.default_rng(0)
 
     def timed(n_blocks):
-        diag, off, rhs = random_block_system(gen, [12] * n_blocks)
+        D, U, b = stacked_system(gen, n_blocks)
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            solver.solve_block_tridiag(diag, off, rhs)
+            solver.cr_solve(solver.cr_factor(D, U), b)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -318,7 +366,7 @@ def test_factorize_matches_gauss_newton_at_optimum():
 def test_sample_posterior_counts_and_locks():
     problem, _ = arc_problem()
     sol = solver.gauss_newton(problem)
-    assert solver.sample_posterior(sol, 0, np.random.default_rng(0)) == []
+    assert len(solver.sample_posterior(sol, 0, np.random.default_rng(0))) == 0
     samples = solver.sample_posterior(sol, 5, np.random.default_rng(0))
     assert len(samples) == 5
     for sample in samples:
@@ -336,34 +384,23 @@ def test_sample_posterior_covariance_matches_marginals():
     problem = solver.Problem(grid, HYPER, ms, study.straight_guess(grid, HYPER))
     sol = solver.gauss_newton(problem)
     samples = solver.sample_posterior(sol, 20000, np.random.default_rng(3))
-    for k in (1, 4):
-        devs = np.array(
-            [
-                np.concatenate(
-                    [
-                        se3.log_se3(s[k].T @ se3.pose_inverse(sol.nodes[k].T)),
-                        s[k].eps - sol.nodes[k].eps,
-                    ]
-                )
-                for s in samples
-            ]
-        )
-        emp = np.cov(devs.T)
+    nodes = [1, 4]
+    xi = se3.log_se3(samples.T[:, nodes] @ se3.pose_inverse(sol.nodes.T[nodes]))
+    devs = np.concatenate([xi, samples.eps[:, nodes] - sol.nodes.eps[nodes]], axis=-1)
+    for i, k in enumerate(nodes):
+        emp = np.cov(devs[:, i].T)
         ref = sol.marginal_covs[k]
         assert np.abs(emp - ref).max() < 0.05 * np.abs(ref).max()
 
 
 def looped_linearization(problem, nodes):
     """Full normal-equation blocks and cost, one interval and one
-    measurement at a time through the scalar factor functions."""
-    from rodgp import measurements as meas
-
+    measurement at a time through the factor functions."""
     grid, n = problem.grid, problem.grid.size
     H_diag, H_off, b = np.zeros((n, 12, 12)), np.zeros((n - 1, 12, 12)), np.zeros((n, 12))
     cost = 0.0
     for k in range(1, n):
-        e = prior.prior_error(nodes[k - 1], nodes[k])
-        E = prior.prior_error_jacobian(nodes[k - 1], nodes[k])
+        e, E = prior.prior_terms(nodes[k - 1], nodes[k])
         Qi = prior.process_cov_inv(grid[k] - grid[k - 1], problem.hyper)
         E1, E2 = E[:, 0:12], E[:, 12:24]
         H_diag[k - 1] += E1.T @ Qi @ E1
@@ -373,14 +410,11 @@ def looped_linearization(problem, nodes):
         b[k] -= E2.T @ Qi @ e
         cost += 0.5 * e @ Qi @ e
     for m, k in zip(problem.measurements, problem.meas_node):
-        if isinstance(m, PoseMeasurement):
-            e, E = meas.pose_error(m, nodes[k].T), meas.pose_error_jacobian(m, nodes[k].T)
-        else:
-            e, E = meas.strain_error(m, nodes[k].eps), meas.strain_error_jacobian(m)
+        e, E = measurement_terms(m, nodes[k])
         Ri = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
         H_diag[k] += E.T @ Ri @ E
         b[k] -= E.T @ Ri @ e
-        cost += meas.measurement_cost(e, m.R, m.mask)
+        cost += 0.5 * e @ Ri @ e
     return H_diag, H_off, b, cost
 
 
@@ -491,11 +525,10 @@ def test_pinned_locks_match_the_ragged_assembled_system():
         StrainMeasurement(grid[4], eps + 0.05, 0.02 * np.eye(6)),
     ]
     problem = solver.Problem(grid, HYPER, ms, nodes, solver.default_locks(5, tip_strain=True))
-    diag, off, rhs, _ = solver.assemble(problem, nodes)
-    A = dense_from_blocks(diag, off)[0]
+    A, rhs = dense_normal_equations(problem, nodes)
     free = ~problem.locks
     x_ref = np.zeros((5, 12))
-    x_ref[free] = np.linalg.solve(A, np.concatenate(rhs))
+    x_ref[free] = np.linalg.solve(A, rhs)
     P_ref = np.zeros((60, 60))
     keep = np.flatnonzero(free.ravel())
     P_ref[np.ix_(keep, keep)] = np.linalg.inv(A)
