@@ -98,8 +98,7 @@ def query(solutions, taus):
         k = np.clip(np.searchsorted(grid, taus[inner], side="right") - 1, 0, grid.size - 2)
         intervals, k_local = np.unique(k, return_inverse=True)
         T_l, eps_l, eps_r = T_n[:, intervals], eps_n[:, intervals], eps_n[:, intervals + 1]
-        xi = se3.log_se3(T_n[:, intervals + 1] @ se3.pose_inverse(T_l))
-        J_inv = se3.left_jacobian_inv(xi)
+        xi, J_inv = se3.log_se3_jacobian_inv(T_n[:, intervals + 1] @ se3.pose_inverse(T_l))
         knots = np.stack([np.zeros_like(eps_l), eps_l, xi, (J_inv @ eps_r[..., None])[..., 0]], axis=-2)
         g = gains(taus[inner], grid[k], grid[k + 1])
         gg = (g[:, :, None, :, None] * g[:, None, :, None, :]).reshape(-1, 4, 16)

@@ -82,8 +82,8 @@ def pose_residual(T_meas, T):
     -J(e)^-1 Ad(T_meas T^-1). Stacked poses give stacked results.
     """
     rel = np.asarray(T_meas, dtype=float) @ se3.pose_inverse(T)
-    e = se3.log_se3(rel)
-    return e, -se3.left_jacobian_inv(e) @ se3.adjoint(rel)
+    e, J_inv = se3.log_se3_jacobian_inv(rel)
+    return e, -(J_inv @ se3.adjoint(rel))
 
 
 def noise_factor(R) -> np.ndarray:

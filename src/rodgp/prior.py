@@ -174,20 +174,26 @@ def prior_terms(prev: StateNode, cur: StateNode) -> tuple:
     blocks use the 0.5 curly_hat(eps_k) linearisation the solver consumes,
     accurate to first order in the inter-node twist.
     """
-    ds = np.asarray(cur.s - prev.s, dtype=float)[..., None]
     rel = cur.T @ se3.pose_inverse(prev.T)
-    xi = se3.log_se3(rel)
-    J_inv = se3.left_jacobian_inv(xi)
-    strain = (J_inv @ cur.eps[..., None])[..., 0]
-    e = np.concatenate([xi - ds * prev.eps, strain - prev.eps], axis=-1)
+    xi, J_inv = se3.log_se3_jacobian_inv(rel)
+    return prior_terms_from_log(cur.s - prev.s, prev.eps, cur.eps, xi, J_inv, J_inv @ se3.adjoint(rel))
 
-    half_curly = 0.5 * se3.curly_hat(cur.eps)
+
+def prior_terms_from_log(ds, eps_prev, eps_cur, xi, J_inv, J_inv_Ad) -> tuple:
+    """prior_terms of intervals of length ds between strains eps_prev and
+    eps_cur, given xi = log(T_k T_{k-1}^-1), J(xi)^-1 and
+    J(xi)^-1 Ad(T_k T_{k-1}^-1), for a caller that takes these logs in one
+    pass with other relative poses."""
+    ds = np.asarray(ds, dtype=float)[..., None]
+    strain = (J_inv @ eps_cur[..., None])[..., 0]
+    e = np.concatenate([xi - ds * eps_prev, strain - eps_prev], axis=-1)
+
+    half_curly = 0.5 * se3.curly_hat(eps_cur)
     E = np.zeros(J_inv.shape[:-2] + (12, 24))
-    J_inv_T = J_inv @ se3.adjoint(rel)
-    E[..., 0:6, 0:6] = -J_inv_T
+    E[..., 0:6, 0:6] = -J_inv_Ad
     E[..., 0:6, 6:12] = -ds[..., None] * np.eye(6)
     E[..., 0:6, 12:18] = J_inv
-    E[..., 6:12, 0:6] = -half_curly @ J_inv_T
+    E[..., 6:12, 0:6] = -half_curly @ J_inv_Ad
     E[..., 6:12, 6:12] = -np.eye(6)
     E[..., 6:12, 12:18] = half_curly @ J_inv
     E[..., 6:12, 18:24] = J_inv

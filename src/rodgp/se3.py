@@ -162,9 +162,8 @@ def jac_so3(phi) -> np.ndarray:
 
 def jac_so3_inv(phi) -> np.ndarray:
     """Inverse left Jacobian of SO(3). Requires angle < pi."""
-    phi = np.asarray(phi, dtype=float)
-    inv2 = _coefficients(_angle(phi, check_branch=True))[3]
-    return _so3_series(hat3(phi), -0.5, inv2)
+    W, coeffs = _angle_terms(np.asarray(phi, dtype=float))
+    return _so3_series(W, -0.5, coeffs[3])
 
 
 def exp_se3(xi) -> np.ndarray:
@@ -185,12 +184,27 @@ def exp_se3_from_jacobian(xi, J) -> np.ndarray:
     return pose_from_parts(np.eye(3) + hat3(xi[..., 3:6]) @ J3, _apply(J3, xi[..., 0:3]))
 
 
-def log_se3(T) -> np.ndarray:
-    """Twist [nu; omega] with exp_se3(log_se3(T)) == T, principal branch."""
+def _log_parts(T):
+    """omega = log_so3(C) of a pose, hat3(omega), its angle coefficients
+    (checked below pi), Ji = jac_so3_inv(omega) and nu = Ji t."""
     T = np.asarray(T, dtype=float)
     omega = log_so3(T[..., :3, :3])
-    nu = _apply(jac_so3_inv(omega), T[..., :3, 3])
+    W, coeffs = _angle_terms(omega)
+    Ji = _so3_series(W, -0.5, coeffs[3])
+    return omega, _apply(Ji, T[..., :3, 3]), W, coeffs, Ji
+
+
+def log_se3(T) -> np.ndarray:
+    """Twist [nu; omega] with exp_se3(log_se3(T)) == T, principal branch."""
+    omega, nu = _log_parts(T)[:2]
     return np.concatenate([nu, omega], axis=-1)
+
+
+def log_se3_jacobian_inv(T) -> tuple:
+    """(xi, J(xi)^-1): log_se3(T) and left_jacobian_inv of it, bit for bit,
+    from one pass over the angle, hat3(omega) and the angle coefficients."""
+    omega, nu, W, coeffs, Ji = _log_parts(T)
+    return np.concatenate([nu, omega], axis=-1), _jacobian_inv(W, hat3(nu), coeffs, Ji)
 
 
 def adjoint(T) -> np.ndarray:
@@ -223,18 +237,26 @@ def _block_upper(A, B):
     return out
 
 
-def _jacobian_blocks(xi):
-    """hat3(omega), the angle coefficients, and Barfoot's closed-form
-    translational block Q of the SE(3) left Jacobian. Q's coefficients share
-    the Taylor switch, so Q is exact to machine precision below pi."""
-    xi = np.asarray(xi, dtype=float)
-    W, V = hat3(xi[..., 3:6]), hat3(xi[..., 0:3])
-    coeffs = _coefficients(_angle(xi[..., 3:6], check_branch=True))
+def _angle_terms(omega):
+    """hat3(omega) and the angle coefficients, for angles below pi."""
+    return hat3(omega), _coefficients(_angle(omega, check_branch=True))
+
+
+def _jacobian_blocks(W, V, coeffs):
+    """Barfoot's closed-form translational block Q of the SE(3) left
+    Jacobian from hat3(omega), hat3(nu) and the angle coefficients. Q's
+    coefficients share the Taylor switch, so Q is exact to machine
+    precision below pi."""
     _, _, sin3, _, cos4, sin5 = coeffs
     WV, VW = W @ V, V @ W
     WVW = WV @ W
     Q = 0.5 * V + sin3 * (WV + VW + WVW) + cos4 * (W @ WV + VW @ W - 3.0 * WVW)
-    return W, coeffs, Q + sin5 * (WVW @ W + W @ WVW)
+    return Q + sin5 * (WVW @ W + W @ WVW)
+
+
+def _jacobian_inv(W, V, coeffs, Ji):
+    """left_jacobian_inv from its parts, with Ji the inverse SO(3) Jacobian."""
+    return _block_upper(Ji, -Ji @ _jacobian_blocks(W, V, coeffs) @ Ji)
 
 
 def left_jacobian(xi) -> np.ndarray:
@@ -242,15 +264,16 @@ def left_jacobian(xi) -> np.ndarray:
 
     Requires the rotation angle to be below pi.
     """
-    W, coeffs, Q = _jacobian_blocks(xi)
-    return _block_upper(_so3_series(W, coeffs[1], coeffs[2]), Q)
+    xi = np.asarray(xi, dtype=float)
+    W, coeffs = _angle_terms(xi[..., 3:6])
+    return _block_upper(_so3_series(W, coeffs[1], coeffs[2]), _jacobian_blocks(W, hat3(xi[..., 0:3]), coeffs))
 
 
 def left_jacobian_inv(xi) -> np.ndarray:
     """Inverse of left_jacobian, evaluated in closed form."""
-    W, coeffs, Q = _jacobian_blocks(xi)
-    Ji = _so3_series(W, -0.5, coeffs[3])
-    return _block_upper(Ji, -Ji @ Q @ Ji)
+    xi = np.asarray(xi, dtype=float)
+    W, coeffs = _angle_terms(xi[..., 3:6])
+    return _jacobian_inv(W, hat3(xi[..., 0:3]), coeffs, _so3_series(W, -0.5, coeffs[3]))
 
 
 def pose_from_parts(C, r) -> np.ndarray:

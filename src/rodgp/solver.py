@@ -23,11 +23,17 @@ import numpy as np
 
 from . import measurements as meas_mod
 from . import se3
-from .prior import PriorHyperparams, StateNode, prior_terms, process_cov_inv
+from .prior import PriorHyperparams, StateNode, process_cov_inv, prior_terms_from_log
 from .prior import stack_nodes, validate_grid
 
 # Measurement arclengths must coincide with grid nodes within this tolerance.
 NODE_MATCH_TOL = 1e-9
+# A cyclic-reduction level with at least this many odd nodes per system
+# inverts their Cholesky factors by batched forward substitution, which
+# beats numpy.linalg.inv's LU and full solve on long stacks; shorter levels
+# keep inv, whose per-call cost is lower. The choice depends on the node
+# axis only, so a batch repeats its one-run solves bit for bit.
+SUBSTITUTION_NODES = 8
 
 
 def default_locks(
@@ -85,6 +91,9 @@ class Problem:
     of R such lists, one per run. Every run shares the grid, the prior, the
     locks, the measurement nodes and their R^-1, which are held once; the
     measured values and the initial guesses are held as (R, ...) stacks.
+    What every iteration reuses is built here once: the lock masks that
+    pinning takes, and the strain factors' Hessian, which is R^-1 on the
+    strain block of each measured node whatever the iterate.
     """
 
     grid: np.ndarray
@@ -124,6 +133,10 @@ class Problem:
             for kind in (meas_mod.PoseMeasurement, meas_mod.StrainMeasurement)
         )
         self.prior_info = process_cov_inv(np.diff(self.grid), self.hyper)
+        self.masks = _lock_masks(~self.locks)
+        node, info, _ = self.strain_stack
+        self.strain_info = np.zeros((n, 12, 12))
+        np.add.at(self.strain_info[:, 6:12, 6:12], node, info)
 
     def _node_index(self, s) -> np.ndarray:
         """Grid index of every measurement arclength in the array s."""
@@ -157,41 +170,55 @@ def linearize(problem: Problem, T, eps, runs=slice(None)):
     if T.ndim == 3:
         return tuple(out[0] for out in linearize(problem, T[None], eps[None], runs))
     grid, n = problem.grid, problem.grid.size
-    e, E = prior_terms(
-        StateNode(grid[:-1], T[:, :-1], eps[:, :-1]), StateNode(grid[1:], T[:, 1:], eps[:, 1:])
+    pose_node, pose_info, T_meas = problem.pose_stack
+    # One log pass over the relative poses of the intervals, T_k T_{k-1}^-1,
+    # and of the pose measurements, T_meas T^-1.
+    T_inv = se3.pose_inverse(T)
+    rel = np.concatenate([T[:, 1:] @ T_inv[:, :-1], T_meas[runs] @ T_inv[:, pose_node]], axis=1)
+    xi, J_inv = se3.log_se3_jacobian_inv(rel)
+    J_inv_Ad = J_inv @ se3.adjoint(rel)
+    e, E = prior_terms_from_log(
+        np.diff(grid), eps[:, :-1], eps[:, 1:], xi[:, : n - 1], J_inv[:, : n - 1], J_inv_Ad[:, : n - 1]
     )
-    # The interval couples node k (first 12 columns of E) to node k + 1.
-    E_prev, E_cur = E[..., 0:12], E[..., 12:24]
+    # The interval couples node k (first 12 columns of E) to node k + 1:
+    # E^T Q^-1 E holds both nodes' diagonal blocks and their coupling.
     Qi_e = problem.prior_info @ e[..., None]
+    H = (_t(E) @ problem.prior_info) @ E
+    g = (_t(E) @ Qi_e)[..., 0]
     H_diag = np.zeros(T.shape[:1] + (n, 12, 12))
-    H_diag[:, :-1] += _t(E_prev) @ problem.prior_info @ E_prev
-    H_diag[:, 1:] += _t(E_cur) @ problem.prior_info @ E_cur
+    H_diag[:, :-1] += H[..., :12, :12]
+    H_diag[:, 1:] += H[..., 12:, 12:]
+    H_diag += problem.strain_info
     b = np.zeros(T.shape[:1] + (n, 12))
-    b[:, :-1] -= (_t(E_prev) @ Qi_e)[..., 0]
-    b[:, 1:] -= (_t(E_cur) @ Qi_e)[..., 0]
-    H_off = _t(E_prev) @ problem.prior_info @ E_cur
+    b[:, :-1] -= g[..., :12]
+    b[:, 1:] -= g[..., 12:]
+    H_off = H[..., :12, 12:]
     cost = 0.5 * np.sum(e * Qi_e[..., 0], axis=(-2, -1))
 
     # Measurement factors; R^-1 is embedded so masked-out rows weigh zero.
-    for (node, info, values), kind in ((problem.pose_stack, "pose"), (problem.strain_stack, "strain")):
-        if node.size == 0:
-            continue
-        E = np.zeros(T.shape[:1] + (node.size, 6, 12))
-        if kind == "pose":
-            e, E[..., 0:6] = meas_mod.pose_residual(values[runs], T[:, node])
-        else:
-            e, E[..., 6:12] = values[runs] - eps[:, node], -np.eye(6)
-        info_e = (info @ e[..., None])[..., 0]
-        np.add.at(H_diag, (slice(None), node), _t(E) @ info @ E)
-        np.add.at(b, (slice(None), node), -(_t(E) @ info_e[..., None])[..., 0])
+    # A pose factor's error is log(T_meas T^-1), with the Jacobian
+    # -J(e)^-1 Ad(T_meas T^-1) on its node's pose block.
+    if pose_node.size:
+        e, J = xi[:, n - 1 :], -J_inv_Ad[:, n - 1 :]
+        info_e = pose_info @ e[..., None]
+        np.add.at(H_diag[..., 0:6, 0:6], (slice(None), pose_node), _t(J) @ pose_info @ J)
+        np.add.at(b[..., 0:6], (slice(None), pose_node), -(_t(J) @ info_e)[..., 0])
+        cost += 0.5 * np.sum(e * info_e[..., 0], axis=(-2, -1))
+    # A strain factor's error is eps_meas - eps, with the Jacobian -I on its
+    # node's strain block; its Hessian is the problem's strain_info.
+    strain_node, strain_info, eps_meas = problem.strain_stack
+    if strain_node.size:
+        e = eps_meas[runs] - eps[:, strain_node]
+        info_e = (strain_info @ e[..., None])[..., 0]
+        np.add.at(b[..., 6:12], (slice(None), strain_node), info_e)
         cost += 0.5 * np.sum(e * info_e, axis=(-2, -1))
     return H_diag, H_off, b, cost
 
 
-def _block_masks(free):
-    """Entries of the diagonal and of the coupling blocks whose two
-    dimensions are both free, from the (..., n, w) free mask."""
-    return free[..., :, None] & free[..., None, :], free[..., :-1, :, None] & free[..., 1:, None, :]
+def _lock_masks(free):
+    """The (..., n, w) free mask, and the entries of the diagonal and of the
+    coupling blocks whose two dimensions are both free."""
+    return free, free[..., :, None] & free[..., None, :], free[..., :-1, :, None] & free[..., 1:, None, :]
 
 
 def pin(free, D, U, b):
@@ -199,12 +226,17 @@ def pin(free, D, U, b):
     diagonal, zero coupling and zero right-hand side. Its solution and
     inverse on the free dimensions are those of the system with the pinned
     rows and columns deleted."""
-    diag_mask, off_mask = _block_masks(free)
+    return _pin(_lock_masks(free), D, U, b)
+
+
+def _pin(masks, D, U, b):
+    """pin from the _lock_masks of its free mask."""
+    free, diag_mask, off_mask = masks
     return np.where(diag_mask, D, np.eye(free.shape[-1])), np.where(off_mask, U, 0.0), np.where(free, b, 0.0)
 
 
 def _t(M):
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
 
 
 def _pad_right(M, length):
@@ -217,6 +249,35 @@ def _interleave(even, odd):
     out = np.empty(odd.shape[:-3] + (even.shape[-3] + odd.shape[-3],) + even.shape[-2:])
     out[..., 0::2, :, :], out[..., 1::2, :, :] = even, odd
     return out
+
+
+def _joint(P_a, C, P_b):
+    """(..., 2w, 2w) joint blocks [[P_a, C], [C^T, P_b]] of adjacent nodes."""
+    w = C.shape[-1]
+    out = np.empty(C.shape[:-2] + (2 * w, 2 * w))
+    out[..., :w, :w], out[..., :w, w:] = P_a, C
+    out[..., w:, :w], out[..., w:, w:] = _t(C), P_b
+    return out
+
+
+def _inverse_cholesky(D):
+    """Inverses of the Cholesky factors of the diagonal blocks D (..., h, w, w),
+    raising numpy.linalg.LinAlgError where a block is not positive definite.
+
+    At h >= SUBSTITUTION_NODES by forward substitution, row by row over the
+    stack: row i of L^-1 is -(L[i, :i] / L[i, i]) L^-1[:i, :i], next to its
+    diagonal 1 / L[i, i]. Otherwise by numpy.linalg.inv."""
+    L = np.linalg.cholesky(D)
+    if L.shape[-3] < SUBSTITUTION_NODES:
+        return np.linalg.inv(L)
+    w = L.shape[-1]
+    scale = -1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    Li = np.zeros(L.shape)
+    Li.reshape(L.shape[:-2] + (w * w,))[..., :: w + 1] = -scale
+    N = L * scale[..., :, None]
+    for i in range(1, w):
+        np.matmul(N[..., i : i + 1, :i], Li[..., :i, :i], out=Li[..., i : i + 1, :i])
+    return Li
 
 
 def cr_factor(D, U):
@@ -237,16 +298,16 @@ def cr_factor(D, U):
     U, w, levels = _pad_right(U, D.shape[-3]), D.shape[-1], []
     while D.shape[-3] > 1:
         h, e = D.shape[-3] // 2, (D.shape[-3] + 1) // 2
-        Li = np.linalg.inv(np.linalg.cholesky(D[..., 1::2, :, :]))
+        Li = _inverse_cholesky(D[..., 1::2, :, :])
         W = Li @ np.concatenate([_t(U[..., 0 : 2 * h : 2, :, :]), U[..., 1::2, :, :]], axis=-1)
-        G = _t(W) @ W
+        G = np.ascontiguousarray(_t(W)) @ W
         D = D[..., 0::2, :, :].copy()
         D[..., :h, :, :] -= G[..., :w, :w]
         D[..., 1:, :, :] -= G[..., : e - 1, w:, w:]
         U = np.zeros_like(D)
         U[..., :h, :, :] = -G[..., :w, w:]
         levels.append((Li, W))
-    return levels, np.linalg.inv(np.linalg.cholesky(D))
+    return levels, _inverse_cholesky(D)
 
 
 def cr_solve(factor, b):
@@ -299,7 +360,7 @@ def cr_marginals(factor):
     for Li, W in levels[::-1]:
         h, w = Li.shape[-3], P.shape[-1]
         F, C_n = _t(Li) @ W, _pad_right(C, h)
-        G = F @ np.block([[P[..., :h, :, :], C_n], [_t(C_n), _pad_right(P[..., 1:, :, :], h)]])
+        G = F @ _joint(P[..., :h, :, :], C_n, _pad_right(P[..., 1:, :, :], h))
         C = _interleave(-_t(G[..., :w]), -G[..., : P.shape[-3] - 1, :, w:])
         P = _interleave(P, _t(Li) @ Li + G @ _t(F))
     return P, C
@@ -371,15 +432,15 @@ def gauss_newton(problem: Problem):
     cost_history = [[c] for c in cost.tolist()]
     runs = len(cost_history)
     iterations, converged, monotone = np.zeros(runs, dtype=int), np.zeros(runs, dtype=bool), np.ones(runs, dtype=bool)
-    active, errors, free = np.arange(runs), {}, ~problem.locks
+    active, errors, masks = np.arange(runs), {}, problem.masks
 
     for _ in range(problem.max_iters):
         if active.size == 0:
             break
-        D, U, rhs = pin(free, H_diag[active], H_off[active], b[active])
+        D, U, rhs = _pin(masks, H_diag[active], H_off[active], b[active])
         factor, keep = _factor(D, U, active, errors)
         active = active[keep]
-        full = np.where(free, cr_solve(factor, rhs[keep]), 0.0)
+        full = np.where(masks[0], cr_solve(factor, rhs[keep]), 0.0)
         T[active] = se3.exp_se3(full[..., 0:6]) @ T[active]
         eps[active] += full[..., 6:12]
         iterations[active] += 1
@@ -404,20 +465,20 @@ def _finalize(problem, T, eps, system, cost_history, iterations, converged, erro
     (n - 1, 24, 24) joints of adjacent nodes, zero on the locked
     dimensions. A run whose system is not positive definite, here or in
     an earlier iteration, gets its LinAlgError in place of a Solution."""
-    free = ~problem.locks
+    free, diag_mask, off_mask = problem.masks
     runs = np.array([run for run in range(len(T)) if run not in errors], dtype=int)
-    D, U, _ = pin(free, system[0][runs], system[1][runs], np.zeros(free.shape))
+    D, U, _ = _pin(problem.masks, system[0][runs], system[1][runs], np.zeros(free.shape))
     factor, keep = _factor(D, U, runs, errors)
     results = [errors.get(run) for run in range(len(T))]
-    diag_mask, off_mask = _block_masks(free)
     marg, off = cr_marginals(factor)
     np.copyto(marg, 0.0, where=~diag_mask)
     np.copyto(off, 0.0, where=~off_mask)
+    joint = _joint(marg[:, :-1], off, marg[:, 1:])
     for i, run in enumerate(runs[keep]):
         results[run] = Solution(
             nodes=StateNode(problem.guess.s[run], T[run], eps[run]),
             marginal_covs=marg[i],
-            joint_covs=np.block([[marg[i, :-1], off[i]], [_t(off[i]), marg[i, 1:]]]),
+            joint_covs=joint[i],
             cost_history=cost_history[run],
             iterations=int(iterations[run]),
             converged=bool(converged[run]),
@@ -452,7 +513,7 @@ def sample_posterior(solution: Solution, count: int, rng):
     """
     rng = np.random.default_rng(rng)
     nodes = solution.nodes
-    free = ~solution.problem.locks
+    free = solution.problem.masks[0]
     full = np.where(free, cr_sample(solution.factor, rng.standard_normal((count,) + free.shape)), 0.0)
     T = se3.exp_se3(full[..., 0:6]) @ nodes.T
     eps = nodes.eps + full[..., 6:12]

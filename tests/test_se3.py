@@ -297,3 +297,41 @@ def test_stacked_calls_check_the_branch_cut():
         se3.left_jacobian_inv(X)
     with pytest.raises(ValueError):
         se3.log_se3(se3.exp_se3(X))
+
+
+def test_log_with_jacobian_inverse_is_log_then_left_jacobian_inv():
+    gen = np.random.default_rng(15)
+    # Rotation angles below and above TAYLOR_ANGLE, one of them zero.
+    axes = gen.standard_normal((40, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([gen.uniform(0.0, se3.TAYLOR_ANGLE, 20), gen.uniform(se3.TAYLOR_ANGLE, 3.0, 20)])
+    angles[0] = 0.0
+    X = np.concatenate([gen.uniform(-1.0, 1.0, (40, 3)), angles[:, None] * axes], axis=1)
+    T = se3.exp_se3(X).reshape(2, 20, 4, 4)
+    xi, J_inv = se3.log_se3_jacobian_inv(T)
+    np.testing.assert_array_equal(xi, se3.log_se3(T))
+    np.testing.assert_array_equal(J_inv, se3.left_jacobian_inv(se3.log_se3(T)))
+    for pose in (T[0, 0], T[1, 19]):
+        xi, J_inv = se3.log_se3_jacobian_inv(pose)
+        np.testing.assert_array_equal(xi, se3.log_se3(pose))
+        np.testing.assert_array_equal(J_inv, se3.left_jacobian_inv(se3.log_se3(pose)))
+
+
+def test_log_with_jacobian_inverse_checks_the_branch_cut_as_log_se3():
+    # Angles straddling pi - BRANCH_MARGIN, each alone and inside a stack.
+    axis = np.array([0.48, -0.6, 0.64])
+    raised = []
+    for k in np.linspace(-3.0, 3.0, 25):
+        angle = np.pi - se3.BRANCH_MARGIN * (1.0 + 1e-3 * k)
+        pose = se3.pose_from_parts(se3.exp_so3(angle * axis), np.array([0.1, -0.2, 0.3]))
+        for T in (pose, np.stack([np.eye(4), pose])):
+            try:
+                expected = se3.log_se3(T)
+            except se3.BranchError:
+                with pytest.raises(se3.BranchError):
+                    se3.log_se3_jacobian_inv(T)
+                raised.append(True)
+                continue
+            np.testing.assert_array_equal(se3.log_se3_jacobian_inv(T)[0], expected)
+            raised.append(False)
+    assert any(raised) and not all(raised)

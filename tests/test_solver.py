@@ -558,6 +558,54 @@ def test_cyclic_reduction_rejects_indefinite_at_every_level(bad):
         solver.cr_factor(D, U)
 
 
+def spd_blocks(gen, shape, w):
+    """Random SPD (*shape, w, w) blocks, as random_block_system draws them."""
+    M = gen.standard_normal(shape + (w, w))
+    return M @ np.swapaxes(M, -1, -2) + 3.0 * w * np.eye(w)
+
+
+# Odd-node counts one below the substitution switch, at it and above it.
+SWITCH_SIDES = [solver.SUBSTITUTION_NODES - 1, solver.SUBSTITUTION_NODES, 3 * solver.SUBSTITUTION_NODES]
+
+
+@pytest.mark.parametrize("w", [12, 2])
+@pytest.mark.parametrize("h", SWITCH_SIDES)
+def test_inverse_cholesky_factors_match_numpy_inverse(h, w):
+    D = spd_blocks(np.random.default_rng(h + w), (8, h), w)
+    ref = np.linalg.inv(np.linalg.cholesky(D))
+    Li = solver._inverse_cholesky(D)
+    deviation = np.abs(Li - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert deviation.max() <= 1e-15
+    assert not np.triu(Li, 1).any()
+
+
+@pytest.mark.parametrize("w", [12, 2])
+@pytest.mark.parametrize("h", SWITCH_SIDES)
+def test_inverse_cholesky_factors_reject_an_indefinite_block(h, w):
+    D = spd_blocks(np.random.default_rng(h), (2, h), w)
+    D[1, h // 2] = -D[1, h // 2]
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._inverse_cholesky(D)
+    # In a system whose first level eliminates h odd nodes.
+    D, U, _ = stacked_system(np.random.default_rng(h), 2 * h + 1)
+    D[2 * (h // 2) + 1] *= -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.cr_factor(D[..., :w, :w], U[..., :w, :w])
+
+
+@pytest.mark.parametrize("h", SWITCH_SIDES)
+def test_one_run_factor_equals_its_run_in_a_batch(h):
+    # 2 h + 1 nodes: the first level has h odd nodes, later levels fewer.
+    D, U, _ = stacked_system(np.random.default_rng(h), 2 * h + 1, batch=(8,))
+    levels, root = solver.cr_factor(D, U)
+    for r in (0, 5):
+        levels_r, root_r = solver.cr_factor(D[r], U[r])
+        for (Li, W), (Li_r, W_r) in zip(levels, levels_r, strict=True):
+            np.testing.assert_array_equal(Li[r], Li_r)
+            np.testing.assert_array_equal(W[r], W_r)
+        np.testing.assert_array_equal(root[r], root_r)
+
+
 def test_posterior_samples_keep_every_locked_dimension_at_the_estimate():
     problem, _ = arc_problem()
     sol = solver.gauss_newton(problem)
