@@ -8,7 +8,7 @@ A static tendon-driven-rod simulator supplies ground truth for studies.
 
 from . import cli, config, interpolation, measurements, prior, rodsim, se3, solver, study
 from .config import ConfigError, RunConfig, default_config, load_config, parse_config
-from .measurements import PoseMeasurement, StrainMeasurement
+from .measurements import Measurements
 from .prior import PriorHyperparams, StateNode, sample_prior, uniform_grid
 from .rodsim import (
     Actuation,
@@ -29,7 +29,7 @@ __all__ = [
     "ConfigError",
     "GroundTruthShape",
     "MeasurementNoise",
-    "PoseMeasurement",
+    "Measurements",
     "PriorHyperparams",
     "Problem",
     "RodProperties",
@@ -39,7 +39,6 @@ __all__ = [
     "ShootingError",
     "Solution",
     "StateNode",
-    "StrainMeasurement",
     "cli",
     "config",
     "default_config",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import interpolation, rodsim, se3, solver, study
 from .config import ConfigError, RunConfig, derive_seed, load_config, measurement_rng
-from .measurements import PoseMeasurement, StrainMeasurement
+from .measurements import Measurements
 from .prior import PriorHyperparams, StateNode, sample_prior, uniform_grid
 from .rodsim import Actuation, GroundTruthShape, Scenario
 
@@ -105,25 +105,30 @@ def _load_dataset(path) -> list:
         raise ConfigError(f"{path}: malformed dataset: {exc}") from exc
 
 
-def _measurement_doc(m) -> dict:
-    pose = isinstance(m, PoseMeasurement)
-    return {
-        "kind": "pose" if pose else "strain",
-        "s": float(m.s),
-        "value": _vec(m.T_meas if pose else m.eps_meas),
-        "R": _vec(m.R),
-        "mask": [bool(b) for b in m.mask],
-    }
+def _measurement_docs(measurements: Measurements) -> list:
+    """One document per sensor of a one-run container, in sensor order."""
+    values = {"pose": iter(measurements.T_meas), "strain": iter(measurements.eps_meas)}
+    return [
+        {"kind": kind, "s": float(s), "value": _vec(next(values[kind])), "R": _vec(R), "mask": [bool(b) for b in mask]}
+        for kind, s, R, mask in zip(measurements.kind.tolist(), measurements.s, measurements.R, measurements.mask)
+    ]
 
 
-def _measurement_from_doc(doc):
-    R = np.array(doc["R"], dtype=float).reshape(6, 6)
-    mask = np.array(doc["mask"], dtype=bool)
-    if doc["kind"] == "pose":
-        T = np.array(doc["value"], dtype=float).reshape(4, 4)
-        return PoseMeasurement(float(doc["s"]), T, R, mask)
-    return StrainMeasurement(
-        float(doc["s"]), np.array(doc["value"], dtype=float), R, mask
+def _measurements_from_docs(docs) -> Measurements:
+    """The container of the per-sensor documents, in their order."""
+    kind = [doc["kind"] for doc in docs]
+
+    def values(which, shape):
+        picked = [doc["value"] for doc, k in zip(docs, kind) if k == which]
+        return np.array(picked, dtype=float).reshape((len(picked),) + shape)
+
+    return Measurements(
+        s=[doc["s"] for doc in docs],
+        kind=kind,
+        mask=np.array([doc["mask"] for doc in docs], dtype=bool).reshape(len(docs), 6),
+        R=np.array([doc["R"] for doc in docs], dtype=float).reshape(len(docs), 6, 6),
+        T_meas=values("pose", (4, 4)),
+        eps_meas=values("strain", (6,)),
     )
 
 
@@ -162,7 +167,7 @@ def cmd_estimate(args) -> int:
             "qc_diag": list(scen_cfg.qc_diag),
             "eps_bar": list(scen_cfg.eps_bar),
             "locks": [[bool(b) for b in row] for row in solution.problem.locks],
-            "measurements": [_measurement_doc(m) for m in measurements],
+            "measurements": _measurement_docs(measurements),
         },
         "nodes": nodes_doc,
         "interpolated": interp_doc,
@@ -205,9 +210,7 @@ def cmd_sample_posterior(args) -> int:
             eps_bar=np.array(problem_doc["eps_bar"], dtype=float),
         )
         locks = np.array(problem_doc["locks"], dtype=bool)
-        measurements = [
-            _measurement_from_doc(m) for m in problem_doc["measurements"]
-        ]
+        measurements = _measurements_from_docs(problem_doc["measurements"])
         states = sorted(
             document["nodes"] + document["interpolated"], key=lambda st: st["s"]
         )
@@ -217,15 +220,15 @@ def cmd_sample_posterior(args) -> int:
             if any(abs(st["s"] - g) < solver.NODE_MATCH_TOL for g in grid)
         ]
         meta = document["meta"]
+        out_meta = {"seed": int(meta["seed"]), "config_hash": meta["config_hash"]}
         problem = solver.Problem(
             grid, PriorHyperparams(**hyper_kwargs), measurements, nodes, locks
         )
         solution = solver.factorize(problem)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{args.solution}: malformed solution file: {exc}") from exc
-    rng = np.random.default_rng(derive_seed(int(meta["seed"]), "sample-posterior"))
+    rng = np.random.default_rng(derive_seed(out_meta["seed"], "sample-posterior"))
     samples = solver.sample_posterior(solution, args.count, rng)
-    out_meta = {"seed": int(meta["seed"]), "config_hash": meta["config_hash"]}
     _write_json(args.out, {"meta": out_meta, "samples": _shape_docs(samples)})
     return EXIT_OK
 

@@ -1,89 +1,102 @@
-"""Pose and strain measurement models: the pose residual, corruption.
+"""Sensors along the rod and their measured values, as one stacked container.
 
-Pose measurements compare on the group, e = log(T_meas T^-1), so partial
-pose sensing is row selection of that 6-vector. Strain measurements are
-plain differences, e = eps_meas - eps. Masks select which of the 6
-components a sensor observes; covariances R are always stored full-size,
-and the solver weighs the masked subspace by R^-1 embedded in 6x6 zeros.
+A pose sensor compares on the group, e = log(T_meas T^-1), so partial pose
+sensing is row selection of that 6-vector. A strain sensor is a plain
+difference, e = eps_meas - eps. A mask selects which of the 6 components a
+sensor observes; its covariance R is stored full-size, and the solver
+weighs the masked subspace by R^-1 embedded in 6x6 zeros. The container
+holds every sensor's arclength, kind, mask and R as (m, ...) stacks, and
+the measured values as one stack per kind, and validates the whole layout
+once. Noise is injected by the stacked corrupt_pose and corrupt_strain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import se3
 
-
-def _full_mask() -> np.ndarray:
-    return np.ones(6, dtype=bool)
-
-
-def _check_cov(R, mask) -> np.ndarray:
-    R = np.array(R, dtype=float)
-    if R.shape != (6, 6):
-        raise ValueError(f"R must be 6x6, got {R.shape}")
-    if np.max(np.abs(R - R.T)) > 1e-12:
-        raise ValueError("R must be symmetric")
-    sub = R[np.ix_(mask, mask)]
-    try:
-        np.linalg.cholesky(sub)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("R must be positive definite on the masked components") from exc
-    return R
-
-
-def _check_mask(mask) -> np.ndarray:
-    mask = np.array(mask, dtype=bool)
-    if mask.shape != (6,):
-        raise ValueError(f"mask must be length 6, got {mask.shape}")
-    if not mask.any():
-        raise ValueError("mask must select at least one component")
-    return mask
+# The per-sensor fields that the runs of a batch share.
+LAYOUT = ("s", "kind", "mask", "R")
 
 
 @dataclass
-class PoseMeasurement:
-    """Noisy pose observed at arclength s, ordering [nu; omega]."""
+class Measurements:
+    """Noisy pose and strain measurements at arclengths, ordering [nu; omega].
 
-    s: float
-    T_meas: np.ndarray
-    R: np.ndarray
-    mask: np.ndarray = field(default_factory=_full_mask)
-
-    def __post_init__(self):
-        self.T_meas = se3.check_pose(self.T_meas)
-        self.mask = _check_mask(self.mask)
-        self.R = _check_cov(self.R, self.mask)
-
-
-@dataclass
-class StrainMeasurement:
-    """Noisy strain observed at arclength s, ordering [nu; omega]."""
-
-    s: float
-    eps_meas: np.ndarray
-    R: np.ndarray
-    mask: np.ndarray = field(default_factory=_full_mask)
-
-    def __post_init__(self):
-        self.eps_meas = np.array(self.eps_meas, dtype=float)
-        if self.eps_meas.shape != (6,):
-            raise ValueError("eps_meas must be length 6")
-        self.mask = _check_mask(self.mask)
-        self.R = _check_cov(self.R, self.mask)
-
-
-def pose_residual(T_meas, T):
-    """Unmasked pose error log(T_meas T^-1) and its 6x6 pose Jacobian.
-
-    e(dt) = log(T_meas (exp(hat6(dt)) T)^-1), so the Jacobian is
-    -J(e)^-1 Ad(T_meas T^-1). Stacked poses give stacked results.
+    Per sensor, in sensor order: arclength s (m,), kind (m,) "pose" or
+    "strain", the observed components mask (m, 6) and covariance R
+    (m, 6, 6). The measured values are T_meas (p, 4, 4) of the p pose
+    sensors and eps_meas (m - p, 6) of the strain sensors, each in sensor
+    order; both may carry one leading run axis, (runs, p, 4, 4) and
+    (runs, m - p, 6), for the runs of a batch, which measure on one layout.
     """
-    rel = np.asarray(T_meas, dtype=float) @ se3.pose_inverse(T)
-    e, J_inv = se3.log_se3_jacobian_inv(rel)
-    return e, -(J_inv @ se3.adjoint(rel))
+
+    s: np.ndarray
+    kind: np.ndarray
+    mask: np.ndarray
+    R: np.ndarray
+    T_meas: np.ndarray
+    eps_meas: np.ndarray
+
+    def __post_init__(self):
+        self.kind, self.mask = np.asarray(self.kind, dtype=str), np.asarray(self.mask, dtype=bool)
+        self.s, self.R, self.T_meas, self.eps_meas = (
+            np.asarray(x, dtype=float) for x in (self.s, self.R, self.T_meas, self.eps_meas)
+        )
+        pose = self.kind == "pose"
+        unknown = self.kind[~pose & (self.kind != "strain")]
+        if unknown.size:
+            raise ValueError(f"kind must be 'pose' or 'strain', got '{unknown[0]}'")
+        m, p = self.s.size, int(np.count_nonzero(pose))
+        runs = self.T_meas.shape[:1] if self.T_meas.ndim == 4 else ()
+        for name, shape in (
+            ("s", (m,)), ("kind", (m,)), ("mask", (m, 6)), ("R", (m, 6, 6)),
+            ("T_meas", runs + (p, 4, 4)), ("eps_meas", runs + (m - p, 6)),
+        ):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+        for name in ("s", "R", "T_meas", "eps_meas"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(self.mask.any(axis=-1)):
+            raise ValueError("mask must select at least one component of every sensor")
+        if np.max(np.abs(self.R - self.R.swapaxes(-1, -2)), initial=0.0) > 1e-12:
+            raise ValueError("R must be symmetric")
+        try:
+            np.linalg.cholesky(self._pinned()[1])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("R must be positive definite on the masked components") from exc
+        se3.check_pose(self.T_meas)
+
+    def _pinned(self):
+        """Where both dimensions of R are observed, and R with the other
+        rows and columns pinned to the identity, as solver.pin does for
+        locks: positive definite iff R is on the observed components."""
+        both = self.mask[:, :, None] & self.mask[:, None, :]
+        return both, np.where(both, self.R, np.eye(6))
+
+    def information(self) -> np.ndarray:
+        """R^-1 on each sensor's observed components, embedded in 6x6 zeros."""
+        both, pinned = self._pinned()
+        return np.where(both, np.linalg.inv(pinned), 0.0)
+
+
+def stack_runs(runs) -> tuple:
+    """The layout shared by `runs`, one container or a list of containers,
+    and their measured values along one run axis: (layout, T_meas
+    (R, p, 4, 4), eps_meas (R, m - p, 6)). A container without a run axis
+    is one run."""
+    runs = [runs] if isinstance(runs, Measurements) else list(runs)
+    if not runs:
+        raise ValueError("need at least one run of measurements")
+    layout = runs[0]
+    if not all(np.array_equal(getattr(layout, f), getattr(run, f)) for run in runs[1:] for f in LAYOUT):
+        raise ValueError("the runs of a batch must share their measurement nodes, kinds and covariances")
+    values = [(r.T_meas, r.eps_meas) if r.T_meas.ndim == 4 else (r.T_meas[None], r.eps_meas[None]) for r in runs]
+    return (layout, *(np.concatenate(v) for v in zip(*values)))
 
 
 def noise_factor(R) -> np.ndarray:
@@ -101,14 +114,16 @@ def noise_factor(R) -> np.ndarray:
 
 
 def corrupt_pose(T, R, rng) -> np.ndarray:
-    """Left-multiply T by exp(hat6(n)) with n ~ N(0, R)."""
+    """Left-multiply each pose of T (..., 4, 4) by exp(hat6(n)), n ~ N(0, R),
+    with one standard-normal 6-vector drawn per pose, in order."""
+    T = se3.check_pose(T)
     rng = np.random.default_rng(rng)
-    n = noise_factor(R) @ rng.standard_normal(6)
-    return se3.exp_se3(n) @ se3.check_pose(T)
+    return se3.exp_se3(rng.standard_normal(T.shape[:-2] + (6,)) @ noise_factor(R).T) @ T
 
 
 def corrupt_strain(eps, R, rng) -> np.ndarray:
-    """Add n ~ N(0, R) to a strain vector."""
+    """Add n ~ N(0, R) to each strain vector of eps (..., 6), with one
+    standard-normal 6-vector drawn per vector, in order."""
+    eps = np.asarray(eps, dtype=float)
     rng = np.random.default_rng(rng)
-    n = noise_factor(R) @ rng.standard_normal(6)
-    return np.asarray(eps, dtype=float) + n
+    return eps + rng.standard_normal(eps.shape) @ noise_factor(R).T

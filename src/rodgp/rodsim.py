@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import se3
-from .measurements import PoseMeasurement, StrainMeasurement, noise_factor
+from .measurements import Measurements, corrupt_pose, corrupt_strain
 from .prior import StateNode, stack_nodes
 
 # Shooting convergence: residual infinity norm in N / N*m.
@@ -579,12 +579,13 @@ def extract_measurements(
     props: RodProperties,
     noise: MeasurementNoise,
     rng,
-) -> list:
+) -> Measurements:
     """Scenario measurements read off the dense shape, then corrupted.
 
     Pose scenarios sense segment ends; strain scenarios sense every disk.
-    The reported covariance R is the inflated noise covariance, not the
-    injected one.
+    The strain sensors come first, then the poses, and the noise is drawn
+    from rng in that order, one 6-vector per sensor. The reported
+    covariance R is the inflated noise covariance, not the injected one.
     """
     rng = np.random.default_rng(rng)
     if scenario is Scenario.POSE_AT_SEGMENT_ENDS:
@@ -597,13 +598,14 @@ def extract_measurements(
         raise ValueError(f"unknown scenario {scenario!r}")
     m = len(strains)
     states = shape.stacked[shape.nearest_indices(np.concatenate([strains, poses]))]
-    # One draw in measurement order, the stream of one 6-vector per measurement.
-    n = rng.standard_normal((len(states), 6))
-    strain_factor = noise_factor(np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3))
-    pose_factor = noise_factor(np.diag([noise.sigma_t**2] * 3 + [noise.sigma_a**2] * 3))
-    eps_meas = states.eps[:m] + n[:m] @ strain_factor.T
-    T_meas = se3.exp_se3(n[m:] @ pose_factor.T) @ se3.check_pose(states.T[m:])
-    s, strain_cov, pose_cov = states.s.tolist(), noise.strain_cov(), noise.pose_cov()
-    return [StrainMeasurement(*x, strain_cov) for x in zip(s[:m], eps_meas)] + [
-        PoseMeasurement(*x, pose_cov) for x in zip(s[m:], T_meas)
-    ]
+    eps_meas = corrupt_strain(states.eps[:m], np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3), rng)
+    T_meas = corrupt_pose(states.T[m:], np.diag([noise.sigma_t**2] * 3 + [noise.sigma_a**2] * 3), rng)
+    pose = np.arange(states.s.size) >= m
+    return Measurements(
+        s=states.s,
+        kind=np.where(pose, "pose", "strain"),
+        mask=np.ones((pose.size, 6), dtype=bool),
+        R=np.where(pose[:, None, None], noise.pose_cov(), noise.strain_cov()),
+        T_meas=T_meas,
+        eps_meas=eps_meas,
+    )

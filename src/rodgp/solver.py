@@ -59,38 +59,16 @@ def default_locks(
     return locks
 
 
-def _stack_measurements(runs, node_index, kind):
-    """Node indices and R^-1 on the masked components embedded in 6x6
-    zeros, shared by every run, and the (R, m, ...) measured values, of
-    every measurement of one kind."""
-    picked = [[m for m in measurements if isinstance(m, kind)] for measurements in runs]
-    m = len(picked[0])
-    if any(len(ms) != m for ms in picked):
-        raise ValueError("the runs of a batch must share their measurement nodes, kinds and covariances")
-
-    def stack(field, shape, dtype=float):
-        values = [[getattr(x, field) for x in ms] for ms in picked]
-        return np.array(values, dtype=dtype).reshape((len(picked), m) + shape)
-
-    nodes, R, mask = node_index(stack("s", ())), stack("R", (6, 6)), stack("mask", (6,), bool)
-    if not (np.all(nodes == nodes[0]) and np.all(R == R[0]) and np.all(mask == mask[0])):
-        raise ValueError("the runs of a batch must share their measurement nodes, kinds and covariances")
-    # One stacked inverse: the masked-out dimensions are pinned to identity,
-    # then zeroed, as pin does for locks.
-    both = mask[0, :, :, None] & mask[0, :, None, :]
-    info = np.where(both, np.linalg.inv(np.where(both, R[0], np.eye(6))), 0.0)
-    values = stack("T_meas", (4, 4)) if kind is meas_mod.PoseMeasurement else stack("eps_meas", (6,))
-    return nodes[0], info, values
-
-
 @dataclass
 class Problem:
     """Estimation problem: grid, prior, measurements, initial guess, locks.
 
-    measurements and initial_guess are one run's lists, or a batch: lists
-    of R such lists, one per run. Every run shares the grid, the prior, the
-    locks, the measurement nodes and their R^-1, which are held once; the
-    measured values and the initial guesses are held as (R, ...) stacks.
+    measurements is one run's measurements.Measurements and initial_guess
+    its nodes, or a batch: a list of R containers on one layout (or one
+    container with a run axis of length R), and a list of R initial
+    guesses. Every run shares the grid, the prior, the locks, the
+    measurement nodes and their R^-1, which are held once; the measured
+    values and the initial guesses are held as (R, ...) stacks.
     What every iteration reuses is built here once: the lock masks that
     pinning takes, and the strain factors' Hessian, which is R^-1 on the
     strain block of each measured node whatever the iterate.
@@ -98,7 +76,7 @@ class Problem:
 
     grid: np.ndarray
     hyper: PriorHyperparams
-    measurements: list
+    measurements: meas_mod.Measurements | list
     initial_guess: list
     locks: np.ndarray | None = None
     max_iters: int = 20
@@ -108,11 +86,10 @@ class Problem:
         self.grid = validate_grid(self.grid)
         n = self.grid.size
         self.batched = not _one_run(self.initial_guess)
-        measurements, guesses = self.measurements, self.initial_guess
-        if not self.batched:
-            measurements, guesses = [measurements], [guesses]
-        if len(measurements) != len(guesses):
-            raise ValueError("need one measurement list per initial guess")
+        guesses = self.initial_guess if self.batched else [self.initial_guess]
+        layout, T_meas, eps_meas = meas_mod.stack_runs(self.measurements)
+        if len(T_meas) != len(guesses):
+            raise ValueError("need one run of measured values per initial guess")
         if any(len(guess) != n for guess in guesses):
             raise ValueError(f"initial guess must have {n} nodes")
         stacks = [stack_nodes(guess) for guess in guesses]
@@ -127,25 +104,22 @@ class Problem:
             raise ValueError(f"locks must be {(n, 12)}, got {self.locks.shape}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        self.meas_node = self._node_index(np.array([m.s for m in measurements[0]], dtype=float)).tolist()
-        self.pose_stack, self.strain_stack = (
-            _stack_measurements(measurements, self._node_index, kind)
-            for kind in (meas_mod.PoseMeasurement, meas_mod.StrainMeasurement)
-        )
+        # Per kind: the node index and R^-1 of each sensor, and the values.
+        node, info, pose = self._node_index(layout.s), layout.information(), layout.kind == "pose"
+        self.pose_stack = node[pose], info[pose], T_meas
+        self.strain_stack = node[~pose], info[~pose], eps_meas
         self.prior_info = process_cov_inv(np.diff(self.grid), self.hyper)
         self.masks = _lock_masks(~self.locks)
-        node, info, _ = self.strain_stack
         self.strain_info = np.zeros((n, 12, 12))
-        np.add.at(self.strain_info[:, 6:12, 6:12], node, info)
+        np.add.at(self.strain_info[:, 6:12, 6:12], *self.strain_stack[:2])
 
     def _node_index(self, s) -> np.ndarray:
-        """Grid index of every measurement arclength in the array s."""
-        gap = np.abs(self.grid - s[..., None])
-        k = np.argmin(gap, axis=-1)
-        off = np.take_along_axis(gap, k[..., None], axis=-1)[..., 0] > NODE_MATCH_TOL
+        """Grid index of every measurement arclength in the (m,) array s."""
+        gap = np.abs(self.grid - s[:, None])
+        off = np.min(gap, axis=1, initial=np.inf) > NODE_MATCH_TOL
         if off.any():
             raise ValueError(f"measurement at s={s[off][0]} does not coincide with a grid node")
-        return k
+        return np.argmin(gap, axis=1)
 
 
 def _one_run(guess) -> bool:

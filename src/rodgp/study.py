@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interpolation, rodsim, se3, solver
-from .measurements import PoseMeasurement
 from .prior import PriorHyperparams, StateNode, uniform_grid
 from .rodsim import MeasurementNoise, Scenario
 
@@ -161,8 +160,8 @@ class StudyResult:
 
 
 def _problem(config: ScenarioConfig, grid, measurements, guesses) -> solver.Problem:
-    """The batch problem of runs on one grid: a measurement list and an
-    initial guess per run."""
+    """The batch problem of runs on one grid: a measurements container and
+    an initial guess per run."""
     locks = config.locks(grid.size)
     return solver.Problem(grid, config.hyperparams(), measurements, guesses, locks, config.max_iters, config.step_tol)
 
@@ -203,7 +202,7 @@ def run_single(props, shape, measurements, config: ScenarioConfig, initial_guess
     (also None) for the prior-mean rollout or "model" to read it off
     shape, built on that grid. This is the one-run case of run_study.
     """
-    grid = estimation_grid(props.total_length, config.num_intervals, [m.s for m in measurements])
+    grid = estimation_grid(props.total_length, config.num_intervals, measurements.s)
     if initial_guess == "model":
         initial_guess = model_guess(grid, shape)
     elif initial_guess is None or initial_guess == "straight":
@@ -217,7 +216,8 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
     Each configuration gets an independent measurement-noise stream
     derived from (config.seed, run index), so results are reproducible
     and independent of the dataset size. Runs whose measurements give the
-    same estimation grid are solved, queried and scored as one batch.
+    same sensor arclengths, and so the same estimation grid, are solved,
+    queried and scored as one batch.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -229,10 +229,10 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
     ]
     batches = {}
     for index, ms in enumerate(measurements):
-        grid = estimation_grid(props.total_length, config.num_intervals, [m.s for m in ms])
-        batches.setdefault(grid.tobytes(), (grid, []))[1].append(index)
+        batches.setdefault(ms.s.tobytes(), []).append(index)
     outcome = {}
-    for grid, runs in batches.values():
+    for runs in batches.values():
+        grid = estimation_grid(props.total_length, config.num_intervals, measurements[runs[0]].s)
         guesses = [straight_guess(grid, config.hyperparams())] * len(runs)
         shapes = [dataset[index][1] for index in runs]
         outcome.update(zip(runs, _estimate(props, shapes, [measurements[i] for i in runs], config, grid, guesses)))
@@ -302,20 +302,12 @@ def envelope_hits(record: EstimateRecord, nodes_only: bool = True) -> np.ndarray
 
 def max_residual_sigmas(solution: solver.Solution, measurements) -> float:
     """Largest whitened measurement residual at the converged estimate."""
-    if not measurements:
-        return 0.0
-    grid = solution.grid
-    k = np.argmin(np.abs(grid - np.array([m.s for m in measurements])[:, None]), axis=1)
-    pose = np.array([isinstance(m, PoseMeasurement) for m in measurements])
-    e = np.empty((len(measurements), 6))
-    if pose.any():
-        T_meas = np.stack([m.T_meas for m, p in zip(measurements, pose) if p])
-        e[pose] = se3.log_se3(T_meas @ se3.pose_inverse(solution.nodes.T[k[pose]]))
-    if not pose.all():
-        eps_meas = np.stack([m.eps_meas for m, p in zip(measurements, pose) if not p])
-        e[~pose] = eps_meas - solution.nodes.eps[k[~pose]]
-    mask = np.stack([m.mask for m in measurements])
-    sigmas = np.sqrt(np.where(mask, np.stack([np.diag(m.R) for m in measurements]), 1.0))
+    k = np.argmin(np.abs(solution.grid - measurements.s[:, None]), axis=1)
+    pose, mask = measurements.kind == "pose", measurements.mask
+    e = np.empty(mask.shape)
+    e[pose] = se3.log_se3(measurements.T_meas @ se3.pose_inverse(solution.nodes.T[k[pose]]))
+    e[~pose] = measurements.eps_meas - solution.nodes.eps[k[~pose]]
+    sigmas = np.sqrt(np.where(mask, np.diagonal(measurements.R, axis1=-2, axis2=-1), 1.0))
     return float(np.max(np.abs(e / sigmas), where=mask, initial=0.0))
 
 
@@ -352,9 +344,7 @@ def initial_guess_study(props, actuation, config: ScenarioConfig) -> InitialGues
         shape, config.scenario, props, config.noise, rng
     )
     hyper = config.hyperparams()
-    grid = estimation_grid(
-        props.total_length, config.num_intervals, [m.s for m in measurements]
-    )
+    grid = estimation_grid(props.total_length, config.num_intervals, measurements.s)
     # Both guesses share the grid and the measurements: one batch of two.
     guesses = [straight_guess(grid, hyper), model_guess(grid, shape)]
     solutions = solver.raise_failed(solver.gauss_newton(_problem(config, grid, [measurements] * 2, guesses)))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rodgp import rodsim, se3, solver, study
-from rodgp.measurements import PoseMeasurement
 from rodgp.prior import PriorHyperparams, uniform_grid
 from rodgp.rodsim import RodProperties
+
+from oracles import pose, sensors
 
 
 def random_rotation(rng, scale=1.0):
@@ -46,7 +47,7 @@ def arc_problem(n_intervals=30):
 
     grid = uniform_grid(length, n_intervals)
     hyper = PriorHyperparams(np.diag([0.01] * 6), np.array([1.0, 0, 0, 0, 0, 0]))
-    measurements = [PoseMeasurement(length, T_meas, 0.01 * np.eye(6))]
+    measurements = sensors([pose(length, T_meas, 0.01 * np.eye(6))])
     locks = solver.default_locks(
         grid.size, root_pose=True, tip_strain=True, translational_strains=True
     )

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from rodgp import cli
-from rodgp import measurements as meas_mod
 from rodgp import interpolation, prior, rodsim, se3, solver, study
 from rodgp.prior import StateNode
 
 from conftest import ACCEPTANCE_LINES, arc_problem
+from oracles import pose, pose_residual, strain
 from test_solver import (
     dense_from_blocks,
     dense_normal_equations,
@@ -109,13 +109,13 @@ def _fd_pose(gen, h=1e-6):
     mask = np.ones(6, dtype=bool)
     if gen.uniform() < 0.5:
         mask[gen.integers(0, 6)] = False
-    m = meas_mod.PoseMeasurement(0.1, T_meas, 0.01 * np.eye(6), mask)
+    m = pose(0.1, T_meas, 0.01 * np.eye(6), mask)
 
     def error(T):
-        return meas_mod.pose_residual(m.T_meas, T)[0][m.mask]
+        return pose_residual(m.value, T)[0][m.mask]
 
     J = np.zeros((6, 12))
-    J[:, 0:6] = meas_mod.pose_residual(m.T_meas, T)[1]
+    J[:, 0:6] = pose_residual(m.value, T)[1]
     J = J[m.mask]
     num = np.zeros_like(J)
     for j in range(6):
@@ -130,11 +130,11 @@ def _fd_strain(gen, h=1e-6):
     eps = gen.normal(0.0, 0.5, 6)
     mask = gen.uniform(size=6) < 0.7
     mask[gen.integers(0, 6)] = True
-    m = meas_mod.StrainMeasurement(0.1, eps + gen.normal(0.0, 0.1, 6), np.eye(6), mask)
+    m = strain(0.1, eps + gen.normal(0.0, 0.1, 6), np.eye(6), mask)
 
     def error(eps):
         # The strain residual as linearize forms it, with its rows [0, -I].
-        return (m.eps_meas - eps)[m.mask]
+        return (m.value - eps)[m.mask]
 
     J = np.hstack([np.zeros((6, 6)), -np.eye(6)])[m.mask]
     num = np.zeros_like(J)
@@ -190,7 +190,7 @@ def test_criterion_03_solver_matches_dense_oracles(props, small_dataset):
     meas = rodsim.extract_measurements(
         shape, cfg.scenario, props, cfg.noise, np.random.default_rng(0)
     )
-    grid = study.estimation_grid(props.total_length, cfg.num_intervals, [m.s for m in meas])
+    grid = study.estimation_grid(props.total_length, cfg.num_intervals, meas.s)
     problem = solver.Problem(
         grid, cfg.hyperparams(), meas, study.straight_guess(grid, cfg.hyperparams()),
         cfg.locks(grid.size),
@@ -230,9 +230,7 @@ def test_criterion_05_interpolation_matches_inserted_nodes(props, small_dataset)
             shape, scenario, props, cfg.noise, np.random.default_rng(0)
         )
         hyper = cfg.hyperparams()
-        grid = study.estimation_grid(
-            props.total_length, cfg.num_intervals, [m.s for m in meas]
-        )
+        grid = study.estimation_grid(props.total_length, cfg.num_intervals, meas.s)
         sol = solver.gauss_newton(
             solver.Problem(
                 grid, hyper, meas, study.straight_guess(grid, hyper), cfg.locks(grid.size)

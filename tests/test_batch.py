@@ -156,7 +156,7 @@ def test_guess_kinds_and_the_two_guess_batch(props, small_dataset):
     _, shape = small_dataset[0]
     config = study.ScenarioConfig(Scenario.POSE_AT_SEGMENT_ENDS)
     measurements = rodsim.extract_measurements(shape, config.scenario, props, config.noise, np.random.default_rng(0))
-    grid = study.estimation_grid(props.total_length, config.num_intervals, [m.s for m in measurements])
+    grid = study.estimation_grid(props.total_length, config.num_intervals, measurements.s)
     by_kind = study.run_single(props, shape, measurements, config, "model")
     by_nodes = study.run_single(props, shape, measurements, config, study.model_guess(grid, shape))
     assert_records_agree(by_kind, by_nodes)

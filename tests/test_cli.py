@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodgp import cli
-from rodgp.config import parse_config
+from rodgp import cli, rodsim
+from rodgp.config import load_config, measurement_rng, parse_config
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -453,3 +453,83 @@ def test_rotation_on_the_branch_cut_exits_3_with_one_line(flipped, capsys, comma
     err = capsys.readouterr().err
     assert err == "error: solver error: rotation angle too close to pi for the principal branch\n"
     assert not list(flipped.glob(command + "*"))
+
+
+def edited_solution(workdir, tmp_path, edit):
+    """The shared estimate file after edit(document), written to tmp_path."""
+    doc = json.loads((workdir / "est.json").read_text())
+    edit(doc)
+    solution = tmp_path / "edited.json"
+    solution.write_text(json.dumps(doc))
+    return solution
+
+
+def meta_seed_text(doc):
+    doc["meta"]["seed"] = "x"
+
+
+def meta_seed_infinite(doc):
+    doc["meta"]["seed"] = float("inf")
+
+
+def meta_without_hash(doc):
+    del doc["meta"]["config_hash"]
+
+
+def meta_as_list(doc):
+    doc["meta"] = [doc["meta"]["seed"], doc["meta"]["config_hash"]]
+
+
+def nan_covariance(doc):
+    doc["problem"]["measurements"][0]["R"][0] = float("nan")
+
+
+def infinite_covariance(doc):
+    doc["problem"]["measurements"][1]["R"][7] = float("inf")
+
+
+def nan_strain(doc):
+    sensor = doc["problem"]["measurements"][1]
+    sensor["kind"], sensor["value"] = "strain", [1.0, 0.0, float("nan"), 0.0, 0.0, 0.0]
+
+
+def unknown_kind(doc):
+    doc["problem"]["measurements"][1]["kind"] = "twist"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (meta_seed_text, "invalid literal for int()"),
+        (meta_seed_infinite, "cannot convert float infinity to integer"),
+        (meta_without_hash, "'config_hash'"),
+        (meta_as_list, "list indices must be integers"),
+        (nan_covariance, "R must be finite"),
+        (infinite_covariance, "R must be finite"),
+        (nan_strain, "eps_meas must be finite"),
+        (unknown_kind, "kind must be 'pose' or 'strain', got 'twist'"),
+    ],
+)
+def test_sample_posterior_on_a_malformed_solution_exits_2_naming_it(workdir, tmp_path, capsys, edit, message):
+    solution = edited_solution(workdir, tmp_path, edit)
+    out = tmp_path / "post.json"
+    code = cli.main(["sample-posterior", "--solution", str(solution), "--count", "2", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {solution}: malformed solution file: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_estimate_writes_the_measurements_it_solved_with(workdir):
+    cfg = load_config(workdir / "config.json")
+    scen_cfg = cfg.scenario_config()
+    _, shape = cli._load_dataset(workdir / "data.json")[0]
+    rng = measurement_rng(cfg, scen_cfg.scenario, 0)
+    solved = rodsim.extract_measurements(shape, scen_cfg.scenario, cfg.props(), scen_cfg.noise, rng)
+    doc = json.loads((workdir / "est.json").read_text())
+    read = cli._measurements_from_docs(doc["problem"]["measurements"])
+    for field in ("s", "kind", "mask", "R", "T_meas", "eps_meas"):
+        assert getattr(read, field).shape == getattr(solved, field).shape
+        np.testing.assert_array_equal(getattr(read, field), getattr(solved, field))
+    assert cli._measurement_docs(read) == doc["problem"]["measurements"]

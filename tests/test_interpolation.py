@@ -8,16 +8,17 @@ from rodgp import prior, rodsim, se3, solver, study
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import arc_problem
+from oracles import sensors
 
 HYPER = PriorHyperparams(np.diag([0.01] * 6), np.array([1.0, 0, 0, 0, 0, 0]))
 
 
-def factorized_solution(nodes, hyper=HYPER, measurements=()):
-    """Solution pinned at the given nodes, root fully locked."""
+def factorized_solution(nodes, hyper=HYPER):
+    """Solution pinned at the given nodes, root fully locked, unmeasured."""
     grid = np.array([n.s for n in nodes])
     locks = np.zeros((grid.size, 12), dtype=bool)
     locks[0, :] = True
-    problem = solver.Problem(grid, hyper, list(measurements), nodes, locks)
+    problem = solver.Problem(grid, hyper, sensors([]), nodes, locks)
     return solver.factorize(problem)
 
 
@@ -127,7 +128,7 @@ def scenario_problem(props, shape, seed=0):
     )
     hyper = config.hyperparams()
     grid = study.estimation_grid(
-        props.total_length, config.num_intervals, [m.s for m in measurements]
+        props.total_length, config.num_intervals, measurements.s
     )
     guess = study.straight_guess(grid, hyper)
     return solver.Problem(grid, hyper, measurements, guess, config.locks(grid.size))

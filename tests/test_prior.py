@@ -7,6 +7,7 @@ from rodgp import prior, se3, solver
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import random_pose
+from oracles import sensors
 
 rng = np.random.default_rng(1)
 
@@ -186,7 +187,7 @@ def test_prior_cost_values():
         nodes = [StateNode(0.0, np.eye(4), np.zeros(6)), StateNode(1.0, T, np.zeros(6))]
         np.testing.assert_allclose(prior.prior_terms(*nodes)[0], x * np.eye(12)[0], atol=1e-15)
         stack = prior.stack_nodes(nodes)
-        return solver.linearize(solver.Problem(grid, HYPER, [], nodes), stack.T, stack.eps)[3]
+        return solver.linearize(solver.Problem(grid, HYPER, sensors([]), nodes), stack.T, stack.eps)[3]
 
     assert cost(0.0) == 0.0
     np.testing.assert_allclose(cost(1.0), 6.0, atol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rodgp import rodsim, se3
-from rodgp.measurements import PoseMeasurement, StrainMeasurement
+from rodgp.measurements import corrupt_pose, corrupt_strain
 from rodgp.rodsim import (
     Actuation,
     GroundTruthShape,
@@ -13,6 +13,8 @@ from rodgp.rodsim import (
     Scenario,
     ShootingError,
 )
+
+from oracles import pose, sensor_list, strain
 
 NO_TENSION = (0.0,) * 8
 # Two tendons in different segments plus a tip wrench.
@@ -400,37 +402,34 @@ def test_extract_measurements_layouts(props, small_dataset):
     poses = rodsim.extract_measurements(
         shape, Scenario.POSE_AT_SEGMENT_ENDS, props, noise, rng
     )
-    assert [type(m) for m in poses] == [PoseMeasurement] * 2
-    np.testing.assert_allclose([m.s for m in poses], [0.14, 0.28])
-    np.testing.assert_allclose(poses[0].R, noise.pose_cov())
+    assert poses.kind.tolist() == ["pose"] * 2
+    np.testing.assert_allclose(poses.s, [0.14, 0.28])
+    np.testing.assert_allclose(poses.R[0], noise.pose_cov())
+    assert poses.T_meas.shape == (2, 4, 4) and poses.eps_meas.shape == (0, 6)
 
     strains = rodsim.extract_measurements(
         shape, Scenario.STRAIN_AT_DISKS, props, noise, rng
     )
-    assert len(strains) == 14
-    assert all(isinstance(m, StrainMeasurement) for m in strains)
-    np.testing.assert_allclose([m.s for m in strains], props.disk_arclengths())
+    assert strains.kind.tolist() == ["strain"] * 14
+    np.testing.assert_allclose(strains.s, props.disk_arclengths())
+    assert strains.T_meas.shape == (0, 4, 4) and strains.eps_meas.shape == (14, 6)
 
     mixed = rodsim.extract_measurements(
         shape, Scenario.STRAIN_PLUS_TIP_POSE, props, noise, rng
     )
-    assert len(mixed) == 15
-    assert isinstance(mixed[-1], PoseMeasurement)
-    assert mixed[-1].s == pytest.approx(0.28)
+    assert mixed.kind.tolist() == ["strain"] * 14 + ["pose"]
+    assert mixed.s[-1] == pytest.approx(0.28)
+    np.testing.assert_array_equal(mixed.R[:-1], np.broadcast_to(noise.strain_cov(), (14, 6, 6)))
+    assert mixed.mask.all()
 
 
 def test_extract_measurements_zero_noise_reads_truth(props, small_dataset):
     _, shape = small_dataset[1]
     silent = MeasurementNoise(0.0, 0.0, 0.0, 0.0, 10.0)
     rng = np.random.default_rng(5)
-    for m in rodsim.extract_measurements(
-        shape, Scenario.STRAIN_PLUS_TIP_POSE, props, silent, rng
-    ):
+    for m in sensor_list(rodsim.extract_measurements(shape, Scenario.STRAIN_PLUS_TIP_POSE, props, silent, rng)):
         state = shape.state_at(m.s)
-        if isinstance(m, PoseMeasurement):
-            np.testing.assert_array_equal(m.T_meas, state.T)
-        else:
-            np.testing.assert_array_equal(m.eps_meas, state.eps)
+        np.testing.assert_array_equal(m.value, state.T if m.kind == "pose" else state.eps)
 
 
 def assert_same_shape(batched, single):
@@ -640,19 +639,17 @@ def test_a_first_rung_failure_gets_the_one_rung_outcome(monkeypatch):
 
 def sequential_measurements(shape, scenario, props, noise, rng):
     """One state lookup, one 6-vector draw and one corruption per
-    measurement, in measurement order."""
-    from rodgp.measurements import corrupt_pose, corrupt_strain
-
+    measurement, in measurement order: a list of Sensors."""
     pose_noise = np.diag([noise.sigma_t**2] * 3 + [noise.sigma_a**2] * 3)
     strain_noise = np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3)
 
     def pose_at(s):
         state = shape.nodes[int(np.argmin(np.abs(shape.arclengths - s)))]
-        return PoseMeasurement(state.s, corrupt_pose(state.T, pose_noise, rng), noise.pose_cov())
+        return pose(state.s, corrupt_pose(state.T, pose_noise, rng), noise.pose_cov())
 
     def strain_at(s):
         state = shape.nodes[int(np.argmin(np.abs(shape.arclengths - s)))]
-        return StrainMeasurement(state.s, corrupt_strain(state.eps, strain_noise, rng), noise.strain_cov())
+        return strain(state.s, corrupt_strain(state.eps, strain_noise, rng), noise.strain_cov())
 
     if scenario is Scenario.POSE_AT_SEGMENT_ENDS:
         return [pose_at(s) for s in props.segment_ends()]
@@ -666,15 +663,12 @@ def test_extract_measurements_equal_a_draw_per_measurement(props, small_dataset,
     for index, (_, shape) in enumerate(small_dataset):
         batched = rodsim.extract_measurements(shape, scenario, props, noise, np.random.default_rng([7, index]))
         single = sequential_measurements(shape, scenario, props, noise, np.random.default_rng([7, index]))
-        assert [type(m) for m in batched] == [type(m) for m in single]
-        for a, b in zip(batched, single):
+        assert batched.kind.tolist() == [m.kind for m in single]
+        for a, b in zip(sensor_list(batched), single):
             assert a.s == b.s
             np.testing.assert_array_equal(a.R, b.R)
             np.testing.assert_array_equal(a.mask, b.mask)
-            if isinstance(a, PoseMeasurement):
-                np.testing.assert_array_equal(a.T_meas, b.T_meas)
-            else:
-                np.testing.assert_array_equal(a.eps_meas, b.eps_meas)
+            np.testing.assert_array_equal(a.value, b.value)
 
 
 def test_extract_measurements_look_up_the_truth_once(props, small_dataset, monkeypatch):

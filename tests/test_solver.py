@@ -1,14 +1,14 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from rodgp import measurements as meas
 from rodgp import prior, se3, solver, study
-from rodgp.measurements import PoseMeasurement, StrainMeasurement
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import arc_problem
+from oracles import pose, pose_residual, sensor_list, sensors, strain
 
 rng = np.random.default_rng(3)
 
@@ -84,14 +84,19 @@ def reduced_blocks(problem, nodes):
 
 
 def measurement_terms(m, node):
-    """Masked rows of one measurement's error and of its 6x12 Jacobian
+    """Masked rows of one Sensor's error and of its 6x12 Jacobian
     w.r.t. (dt, de) at the node."""
     E = np.zeros((6, 12))
-    if isinstance(m, PoseMeasurement):
-        e, E[:, 0:6] = meas.pose_residual(m.T_meas, node.T)
+    if m.kind == "pose":
+        e, E[:, 0:6] = pose_residual(m.value, node.T)
     else:
-        e, E[:, 6:12] = m.eps_meas - node.eps, -np.eye(6)
+        e, E[:, 6:12] = m.value - node.eps, -np.eye(6)
     return e[m.mask], E[m.mask]
+
+
+def sensors_at_nodes(problem):
+    """Each Sensor of a one-run problem with the index of its grid node."""
+    return [(m, int(np.argmin(np.abs(problem.grid - m.s)))) for m in sensor_list(problem.measurements)]
 
 
 def rollout_guess(grid, eps):
@@ -109,7 +114,7 @@ def dense_normal_equations(problem, nodes):
         idx = np.arange(12 * (k - 1), 12 * (k + 1))
         A[np.ix_(idx, idx)] += E.T @ Qi @ E
         b[idx] -= E.T @ Qi @ e
-    for m, k in zip(problem.measurements, problem.meas_node):
+    for m, k in sensors_at_nodes(problem):
         e, E = measurement_terms(m, nodes[k])
         Ri = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
         idx = np.arange(12 * k, 12 * (k + 1))
@@ -133,20 +138,20 @@ def test_problem_validation():
     grid = prior.uniform_grid(1.0, 4)
     guess = study.straight_guess(grid, HYPER)
     with pytest.raises(ValueError):
-        solver.Problem(grid, HYPER, [], guess[:-1])
-    off_node = PoseMeasurement(0.3, np.eye(4), 0.01 * np.eye(6))
+        solver.Problem(grid, HYPER, sensors([]), guess[:-1])
+    off_node = pose(0.3, np.eye(4), 0.01 * np.eye(6))
     with pytest.raises(ValueError):
-        solver.Problem(grid, HYPER, [off_node], guess)
+        solver.Problem(grid, HYPER, sensors([off_node]), guess)
     with pytest.raises(ValueError):
-        solver.Problem(grid, HYPER, [], guess, locks=np.zeros((4, 12), dtype=bool))
+        solver.Problem(grid, HYPER, sensors([]), guess, locks=np.zeros((4, 12), dtype=bool))
     with pytest.raises(ValueError):
-        solver.Problem(grid, HYPER, [], guess, max_iters=0)
+        solver.Problem(grid, HYPER, sensors([]), guess, max_iters=0)
 
 
 def test_assemble_zero_gradient_on_prior_rollout():
     grid = prior.uniform_grid(1.5, 6)
     guess = rollout_guess(grid, HYPER.eps_bar)
-    problem = solver.Problem(grid, HYPER, [], guess, solver.default_locks(7))
+    problem = solver.Problem(grid, HYPER, sensors([]), guess, solver.default_locks(7))
     _, _, rhs, _ = reduced_blocks(problem, guess)
     assert max(np.abs(r).max() for r in rhs) < 1e-10
 
@@ -155,16 +160,18 @@ def test_assemble_matches_dense_brute_force():
     grid = prior.uniform_grid(0.8, 4)
     eps = np.array([1.0, 0.02, -0.01, 0.3, -0.2, 0.1])
     nodes = rollout_guess(grid, eps)
-    ms = [
-        PoseMeasurement(grid[2], se3.exp_se3(0.1 * np.ones(6)) @ nodes[2].T, 0.01 * np.eye(6)),
-        StrainMeasurement(grid[4], eps + 0.05, 0.02 * np.eye(6)),
-        StrainMeasurement(
-            grid[1],
-            eps,
-            np.eye(6),
-            np.array([True, False, False, True, True, True]),
-        ),
-    ]
+    ms = sensors(
+        [
+            pose(grid[2], se3.exp_se3(0.1 * np.ones(6)) @ nodes[2].T, 0.01 * np.eye(6)),
+            strain(grid[4], eps + 0.05, 0.02 * np.eye(6)),
+            strain(
+                grid[1],
+                eps,
+                np.eye(6),
+                np.array([True, False, False, True, True, True]),
+            ),
+        ]
+    )
     problem = solver.Problem(grid, HYPER, ms, nodes, solver.default_locks(5, tip_strain=True))
     diag, off, rhs, free = reduced_blocks(problem, nodes)
     A_blocks, _ = dense_from_blocks(diag, off)
@@ -249,11 +256,11 @@ def test_under_constrained_problem_raises():
     # No locks and no measurements: the whole state is gauge-free.
     free_locks = np.zeros((6, 12), dtype=bool)
     with pytest.raises(np.linalg.LinAlgError):
-        solver.gauss_newton(solver.Problem(grid, HYPER, [], guess, free_locks))
+        solver.gauss_newton(solver.Problem(grid, HYPER, sensors([]), guess, free_locks))
     # A root pose lock alone still leaves the root strain unconstrained
     # relative to the pose chain.
     with pytest.raises(np.linalg.LinAlgError):
-        solver.gauss_newton(solver.Problem(grid, HYPER, [], guess))
+        solver.gauss_newton(solver.Problem(grid, HYPER, sensors([]), guess))
 
 
 def test_stationary_at_prior_rollout():
@@ -261,7 +268,7 @@ def test_stationary_at_prior_rollout():
     guess = rollout_guess(grid, HYPER.eps_bar)
     locks = np.zeros((6, 12), dtype=bool)
     locks[0, :] = True
-    problem = solver.Problem(grid, HYPER, [], guess, locks)
+    problem = solver.Problem(grid, HYPER, sensors([]), guess, locks)
     sol = solver.gauss_newton(problem)
     assert sol.converged
     assert sol.iterations == 1
@@ -300,7 +307,7 @@ def test_noise_free_measurements_recover_truth():
     grid = prior.uniform_grid(2.0, 10)
     truth = rollout_guess(grid, eps_true)
     R = 1e-12 * np.eye(6)
-    ms = [PoseMeasurement(s, truth[k].T.copy(), R) for k, s in enumerate(grid) if k > 0]
+    ms = sensors([pose(s, truth[k].T.copy(), R) for k, s in enumerate(grid) if k > 0])
     problem = solver.Problem(grid, HYPER, ms, study.straight_guess(grid, HYPER))
     sol = solver.gauss_newton(problem)
     assert sol.converged
@@ -313,16 +320,16 @@ def test_noise_free_measurements_recover_truth():
 def test_measurement_order_does_not_matter():
     problem, _ = arc_problem()
     extra = [
-        StrainMeasurement(problem.grid[10], HYPER.eps_bar, 0.5 * np.eye(6)),
-        StrainMeasurement(problem.grid[20], HYPER.eps_bar, 0.5 * np.eye(6)),
+        strain(problem.grid[10], HYPER.eps_bar, 0.5 * np.eye(6)),
+        strain(problem.grid[20], HYPER.eps_bar, 0.5 * np.eye(6)),
     ]
-    ms = problem.measurements + extra
+    ms = sensor_list(problem.measurements) + extra
     kwargs = dict(locks=problem.locks)
     a = solver.gauss_newton(
-        solver.Problem(problem.grid, HYPER, ms, problem.initial_guess, **kwargs)
+        solver.Problem(problem.grid, HYPER, sensors(ms), problem.initial_guess, **kwargs)
     )
     b = solver.gauss_newton(
-        solver.Problem(problem.grid, HYPER, ms[::-1], problem.initial_guess, **kwargs)
+        solver.Problem(problem.grid, HYPER, sensors(ms[::-1]), problem.initial_guess, **kwargs)
     )
     for na, nb in zip(a.nodes, b.nodes):
         np.testing.assert_allclose(na.T, nb.T, atol=1e-10)
@@ -380,7 +387,7 @@ def test_sample_posterior_covariance_matches_marginals():
     eps_true = np.array([1.0, 0, 0, 0, 0.5, 0])
     grid = prior.uniform_grid(0.4, 4)
     truth = rollout_guess(grid, eps_true)
-    ms = [PoseMeasurement(grid[-1], truth[-1].T.copy(), 0.01 * np.eye(6))]
+    ms = sensors([pose(grid[-1], truth[-1].T.copy(), 0.01 * np.eye(6))])
     problem = solver.Problem(grid, HYPER, ms, study.straight_guess(grid, HYPER))
     sol = solver.gauss_newton(problem)
     samples = solver.sample_posterior(sol, 20000, np.random.default_rng(3))
@@ -409,7 +416,7 @@ def looped_linearization(problem, nodes):
         b[k - 1] -= E1.T @ Qi @ e
         b[k] -= E2.T @ Qi @ e
         cost += 0.5 * e @ Qi @ e
-    for m, k in zip(problem.measurements, problem.meas_node):
+    for m, k in sensors_at_nodes(problem):
         e, E = measurement_terms(m, nodes[k])
         Ri = np.linalg.inv(m.R[np.ix_(m.mask, m.mask)])
         H_diag[k] += E.T @ Ri @ E
@@ -427,7 +434,7 @@ def test_linearize_matches_looped_factors(props, small_dataset):
         shape, config.scenario, props, config.noise, np.random.default_rng(4)
     )
     hyper = config.hyperparams()
-    grid = study.estimation_grid(props.total_length, config.num_intervals, [m.s for m in measurements])
+    grid = study.estimation_grid(props.total_length, config.num_intervals, measurements.s)
     guess = study.straight_guess(grid, hyper)
     problem = solver.Problem(grid, hyper, measurements, guess, config.locks(grid.size))
     assert grid.size == 43
@@ -520,10 +527,12 @@ def test_pinned_locks_match_the_ragged_assembled_system():
     grid = prior.uniform_grid(0.8, 4)
     eps = np.array([1.0, 0.02, -0.01, 0.3, -0.2, 0.1])
     nodes = rollout_guess(grid, eps)
-    ms = [
-        PoseMeasurement(grid[2], se3.exp_se3(0.1 * np.ones(6)) @ nodes[2].T, 0.01 * np.eye(6)),
-        StrainMeasurement(grid[4], eps + 0.05, 0.02 * np.eye(6)),
-    ]
+    ms = sensors(
+        [
+            pose(grid[2], se3.exp_se3(0.1 * np.ones(6)) @ nodes[2].T, 0.01 * np.eye(6)),
+            strain(grid[4], eps + 0.05, 0.02 * np.eye(6)),
+        ]
+    )
     problem = solver.Problem(grid, HYPER, ms, nodes, solver.default_locks(5, tip_strain=True))
     A, rhs = dense_normal_equations(problem, nodes)
     free = ~problem.locks
@@ -649,11 +658,11 @@ def test_stacked_measurement_information_masks_each_covariance():
     for k, mask in zip((1, 2, 4), masks):
         M = gen.standard_normal((6, 6))
         R = M @ M.T + np.eye(6)
-        measurements.append(PoseMeasurement(grid[k], se3.exp_se3(0.1 * gen.standard_normal(6)), R, np.array(mask)))
-        measurements.append(StrainMeasurement(grid[k], gen.standard_normal(6), 2.0 * R, np.array(mask)[::-1]))
-    problem = solver.Problem(grid, HYPER, measurements, guess)
-    for stack, kind in ((problem.pose_stack, PoseMeasurement), (problem.strain_stack, StrainMeasurement)):
-        picked = [m for m in measurements if isinstance(m, kind)]
+        measurements.append(pose(grid[k], se3.exp_se3(0.1 * gen.standard_normal(6)), R, np.array(mask)))
+        measurements.append(strain(grid[k], gen.standard_normal(6), 2.0 * R, np.array(mask)[::-1]))
+    problem = solver.Problem(grid, HYPER, sensors(measurements), guess)
+    for stack, kind in ((problem.pose_stack, "pose"), (problem.strain_stack, "strain")):
+        picked = [m for m in measurements if m.kind == kind]
         nodes, info, values = stack
         np.testing.assert_array_equal(nodes, [1, 2, 4])
         assert values.shape[:2] == (1, 3)
@@ -664,7 +673,20 @@ def test_stacked_measurement_information_masks_each_covariance():
             assert np.all(got[~m.mask] == 0.0) and np.all(got[:, ~m.mask] == 0.0)
     # Runs of a batch must share the measurement layout.
     other = list(measurements)
-    other[1] = StrainMeasurement(grid[1], np.zeros(6), 3.0 * other[1].R, other[1].mask)
+    other[1] = strain(grid[1], np.zeros(6), 3.0 * other[1].R, other[1].mask)
     for second in (other, measurements[:-1], measurements[1:] + measurements[:1]):
         with pytest.raises(ValueError, match="must share their measurement nodes, kinds and covariances"):
-            solver.Problem(grid, HYPER, [measurements, second], [guess, guess])
+            solver.Problem(grid, HYPER, [sensors(measurements), sensors(second)], [guess, guess])
+    # A container with a run axis is the batch of its runs.
+    one = sensors(measurements)
+    shifted = dict(T_meas=se3.exp_se3(0.01 * np.ones(6)) @ one.T_meas, eps_meas=one.eps_meas + 0.1)
+    second = dataclasses.replace(one, **shifted)
+    runs = dataclasses.replace(one, **{f: np.stack([getattr(one, f), shifted[f]]) for f in shifted})
+    by_list, by_axis = (solver.Problem(grid, HYPER, ms, [guess, guess]) for ms in ([one, second], runs))
+    for a, b in ((by_list.pose_stack, by_axis.pose_stack), (by_list.strain_stack, by_axis.strain_stack)):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+    with pytest.raises(ValueError, match="one run of measured values per initial guess"):
+        solver.Problem(grid, HYPER, runs, guess)
+    with pytest.raises(ValueError, match="one run of measured values per initial guess"):
+        solver.Problem(grid, HYPER, [one] * 3, [guess, guess])

@@ -11,6 +11,8 @@ from rodgp import rodsim, se3, study
 from rodgp.prior import PriorHyperparams, StateNode
 from rodgp.rodsim import Actuation, MeasurementNoise, Scenario
 
+from oracles import pose_residual, sensor_list, sensors
+
 SRC = Path(study.__file__).resolve().parents[1]
 
 SCENARIO_1 = Scenario.POSE_AT_SEGMENT_ENDS
@@ -248,13 +250,11 @@ def envelope_hits_by_point(record, nodes_only=True):
 
 
 def max_residual_sigmas_by_measurement(solution, measurements):
-    from rodgp.measurements import PoseMeasurement, pose_residual
-
     worst = 0.0
-    for m in measurements:
+    for m in sensor_list(measurements):
         k = int(np.argmin(np.abs(solution.grid - m.s)))
         node = solution.nodes[k]
-        e = (pose_residual(m.T_meas, node.T)[0] if isinstance(m, PoseMeasurement) else m.eps_meas - node.eps)[m.mask]
+        e = (pose_residual(m.value, node.T)[0] if m.kind == "pose" else m.value - node.eps)[m.mask]
         worst = max(worst, float(np.max(np.abs(e / np.sqrt(np.diag(m.R)[m.mask])))))
     return worst
 
@@ -271,12 +271,14 @@ def test_vectorised_scorers_equal_their_per_point_forms(props, small_dataset, sc
         rng = np.random.default_rng([config.seed, record.index])
         measurements = rodsim.extract_measurements(small_dataset[record.index][1], scenario, props, config.noise, rng)
         # A partial mask leaves the unsensed components out of the residual.
-        masked = dataclasses.replace(measurements[-1], mask=np.array([True, False, True, True, False, True]))
-        for ms in (measurements, measurements[:-1] + [masked]):
+        mask = measurements.mask.copy()
+        mask[-1] = [True, False, True, True, False, True]
+        masked = dataclasses.replace(measurements, mask=mask)
+        for ms in (measurements, masked):
             assert study.max_residual_sigmas(record.solution, ms) == max_residual_sigmas_by_measurement(
                 record.solution, ms
             )
-    assert study.max_residual_sigmas(result.records[0].solution, []) == 0.0
+    assert study.max_residual_sigmas(result.records[0].solution, sensors([])) == 0.0
 
 
 def test_simulating_and_studying_leave_numpy_ma_unimported():
