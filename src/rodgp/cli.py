@@ -46,20 +46,26 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def _state_doc(node: StateNode, sigma=None) -> dict:
-    doc = {"s": float(node.s), "T": _vec(node.T), "eps": _vec(node.eps)}
-    if sigma is not None:
-        doc["sigma"] = _vec(sigma)
-    return doc
+def _state_docs(nodes: StateNode, **extra) -> list:
+    """One document per node of a stack: its s, T and eps, then each extra
+    per-node array under its keyword, flattened."""
+    columns = {"T": nodes.T, "eps": nodes.eps, **extra}
+    flat = [np.asarray(column, dtype=float).reshape(len(nodes), -1).tolist() for column in columns.values()]
+    return [{"s": s, **dict(zip(columns, row))} for s, *row in zip(nodes.s.tolist(), *flat)]
 
 
-def _node_from_doc(doc) -> StateNode:
-    T = np.array(doc["T"], dtype=float).reshape(4, 4)
-    return StateNode(float(doc["s"]), T, np.array(doc["eps"], dtype=float))
+def _nodes_from_docs(docs) -> StateNode:
+    """The stacked StateNode of per-state documents, in their order."""
+    n = len(docs)
+    return StateNode(
+        np.array([doc["s"] for doc in docs], dtype=float).reshape(n),
+        np.array([doc["T"] for doc in docs], dtype=float).reshape(n, 4, 4),
+        np.array([doc["eps"] for doc in docs], dtype=float).reshape(n, 6),
+    )
 
 
 def _shape_docs(samples) -> list:
-    return [[_state_doc(node) for node in nodes] for nodes in samples]
+    return [_state_docs(nodes) for nodes in samples]
 
 
 def cmd_simulate(args) -> int:
@@ -71,18 +77,14 @@ def cmd_simulate(args) -> int:
         loaded_fraction=args.loaded_fraction,
         seed=derive_seed(cfg.seed, "dataset"),
     )
-    runs = []
-    for actuation, shape in dataset:
-        runs.append(
-            {
-                "actuation": _vec(actuation.tensions),
-                "tip_wrench": _vec(actuation.tip_wrench),
-                "states": [
-                    _state_doc(node, sigma)
-                    for node, sigma in zip(shape.nodes, shape.sigma)
-                ],
-            }
-        )
+    runs = [
+        {
+            "actuation": _vec(actuation.tensions),
+            "tip_wrench": _vec(actuation.tip_wrench),
+            "states": _state_docs(shape.nodes, sigma=shape.sigma),
+        }
+        for actuation, shape in dataset
+    ]
     _write_json(args.out, {"meta": _meta(cfg), "runs": runs})
     return EXIT_OK
 
@@ -97,9 +99,12 @@ def _load_dataset(path) -> list:
         dataset = []
         for run in document["runs"]:
             actuation = Actuation(tuple(run["actuation"]), tuple(run["tip_wrench"]))
-            nodes = [_node_from_doc(st) for st in run["states"]]
             sigma = np.array([st["sigma"] for st in run["states"]], dtype=float)
-            dataset.append((actuation, GroundTruthShape(nodes, sigma)))
+            shape = GroundTruthShape(_nodes_from_docs(run["states"]), sigma)
+            se3.check_pose(shape.nodes.T)
+            dataset.append((actuation, shape))
+        if not dataset:
+            raise ValueError("no runs")
         return dataset
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed dataset: {exc}") from exc
@@ -150,11 +155,9 @@ def cmd_estimate(args) -> int:
     )
     record = study.run_single(props, shape, measurements, scen_cfg, args.init)
     solution = record.solution
-    nodes_doc, interp_doc = [], []
-    for i in range(record.arclengths.size):
-        doc = _state_doc(record.states[i])
-        doc["cov"] = _vec(record.covs[i])
-        (nodes_doc if record.is_node[i] else interp_doc).append(doc)
+    docs = _state_docs(record.states, cov=record.covs)
+    nodes_doc = [doc for doc, node in zip(docs, record.is_node) if node]
+    interp_doc = [doc for doc, node in zip(docs, record.is_node) if not node]
     out = {
         "meta": _meta(
             cfg,
@@ -214,11 +217,9 @@ def cmd_sample_posterior(args) -> int:
         states = sorted(
             document["nodes"] + document["interpolated"], key=lambda st: st["s"]
         )
-        nodes = [
-            _node_from_doc(st)
-            for st in states
-            if any(abs(st["s"] - g) < solver.NODE_MATCH_TOL for g in grid)
-        ]
+        nodes = _nodes_from_docs(
+            [st for st in states if any(abs(st["s"] - g) < solver.NODE_MATCH_TOL for g in grid)]
+        )
         meta = document["meta"]
         out_meta = {"seed": int(meta["seed"]), "config_hash": meta["config_hash"]}
         problem = solver.Problem(

@@ -24,14 +24,13 @@ start the next one.
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import se3
 from .measurements import Measurements, corrupt_pose, corrupt_strain
-from .prior import StateNode, stack_nodes
+from .prior import StateNode
 
 # Shooting convergence: residual infinity norm in N / N*m.
 SHOOTING_TOL = 1e-9
@@ -165,43 +164,39 @@ class Actuation:
 
 @dataclass
 class GroundTruthShape:
-    """Dense simulator output: states plus internal stress per sample."""
+    """Dense simulator output: every sample as one stacked StateNode, s (n,)
+    ascending, T (n, 4, 4) and eps (n, 6), and the internal stress sigma
+    (n, 6) at each."""
 
-    nodes: list
+    nodes: StateNode
     sigma: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.nodes, StateNode) or np.ndim(self.nodes.s) != 1:
+            raise TypeError("nodes must be one stacked StateNode")
         self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.sigma.shape != (len(self.nodes), 6):
-            raise ValueError("need one 6-vector stress per node")
-        if np.any(np.diff(self.arclengths) < 0):
+        n = self.nodes.s.size
+        if n == 0:
+            raise ValueError("need at least one dense sample")
+        fields = {"s": self.nodes.s, "T": self.nodes.T, "eps": self.nodes.eps, "sigma": self.sigma}
+        for name, shape in (("T", (n, 4, 4)), ("eps", (n, 6)), ("sigma", (n, 6))):
+            if fields[name].shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {fields[name].shape}")
+        for name, value in fields.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(np.diff(self.nodes.s) >= 0):
             raise ValueError("dense samples must ascend in arclength")
-
-    @functools.cached_property
-    def arclengths(self) -> np.ndarray:
-        return np.array([node.s for node in self.nodes])
-
-    @functools.cached_property
-    def stacked(self) -> StateNode:
-        """Every dense sample as one stacked StateNode."""
-        return stack_nodes(self.nodes)
-
-    def nearest_index(self, s: float) -> int:
-        return int(self.nearest_indices(s))
 
     def nearest_indices(self, s) -> np.ndarray:
         """Index of the dense sample nearest to each arclength in s, a tie
         going to the lower index as in np.argmin over all samples. The
         samples ascend, so the nearest one is the first at or past s or
         the first of the samples equal to the one before it."""
-        a, s = self.arclengths, np.asarray(s, dtype=float)
+        a, s = self.nodes.s, np.asarray(s, dtype=float)
         right = np.clip(np.searchsorted(a, s), 1, a.size - 1)
         left = np.searchsorted(a, a[right - 1])
         return np.where(np.abs(a[right] - s) < np.abs(a[left] - s), right, left)
-
-    def state_at(self, s: float) -> StateNode:
-        """State at the dense sample nearest to s."""
-        return self.nodes[self.nearest_index(s)]
 
 
 class ShootingError(RuntimeError):
@@ -314,41 +309,12 @@ def _integrate(props, base_stresses, routed, tip_wrench, steps):
     strains = REST_STRAIN + stresses * (1.0 / np.diag(stiffness(props)))
     finite = np.isfinite(T).all(axis=(0, 2, 3)) & np.isfinite(stresses).all(axis=(0, 2))
     shapes = [
-        GroundTruthShape([StateNode(*n) for n in zip(arclengths, T[:, c], strains[:, c])], stresses[:, c])
-        if ok else None
+        GroundTruthShape(StateNode(arclengths, T[:, c], strains[:, c]), stresses[:, c]) if ok else None
         for c, ok in enumerate(finite)
     ]
     errors = [None if ok else ShootingError("rod integration diverged", residual)
               for ok, residual in zip(finite, residuals)]
     return shapes, residuals, errors
-
-
-def integrate_rod(
-    props: RodProperties,
-    base_stress_guess: np.ndarray,
-    wrenches,
-    tip_wrench: np.ndarray,
-    steps_per_segment: int = MIN_STEPS_PER_SEGMENT,
-):
-    """Integrate pose and stress from the base with fixed-step RK4.
-
-    base_stress_guess is the transported stress component at s=0 (the part
-    not attributable to routed tendons); wrenches end at segment ends, as
-    tendon_point_wrenches gives them. Returns the dense shape and the
-    boundary residual sigma(S) - tip_wrench. Crossing a point-wrench
-    arclength drops that wrench from the stress, i.e. the total stress
-    jumps by the applied wrench as the cut passes the termination.
-    """
-    steps = _rounded_steps(props, steps_per_segment)
-    base_stress = np.asarray(base_stress_guess, dtype=float)
-    tip_wrench = np.asarray(tip_wrench, dtype=float)
-    if not np.all(np.isfinite(base_stress)):
-        raise ValueError("base stress guess must be finite")
-    routed = _routed_stress(props, [wrenches])
-    shapes, residuals, errors = _integrate(props, base_stress[None], routed, tip_wrench[None], steps)
-    if errors[0]:
-        raise errors[0]
-    return shapes[0], residuals[0]
 
 
 def _newton_shoot(props, routed, tip_wrench, guess, steps_per_segment, jac=None):
@@ -597,7 +563,7 @@ def extract_measurements(
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
     m = len(strains)
-    states = shape.stacked[shape.nearest_indices(np.concatenate([strains, poses]))]
+    states = shape.nodes[shape.nearest_indices(np.concatenate([strains, poses]))]
     eps_meas = corrupt_strain(states.eps[:m], np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3), rng)
     T_meas = corrupt_pose(states.T[m:], np.diag([noise.sigma_t**2] * 3 + [noise.sigma_a**2] * 3), rng)
     pose = np.arange(states.s.size) >= m

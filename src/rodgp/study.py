@@ -101,7 +101,7 @@ def straight_guess(grid, hyper: PriorHyperparams) -> StateNode:
 
 def model_guess(grid, shape: rodsim.GroundTruthShape) -> StateNode:
     """Initial guess read off a simulated shape at the grid arclengths."""
-    truth = shape.stacked[shape.nearest_indices(grid)]
+    truth = shape.nodes[shape.nearest_indices(grid)]
     return StateNode(np.asarray(grid, dtype=float), truth.T, truth.eps)
 
 
@@ -127,7 +127,7 @@ class EstimateRecord:
     is_node: np.ndarray
     states: StateNode
     covs: np.ndarray
-    truth: list
+    truth: StateNode
     pos_err: np.ndarray
     ang_err: np.ndarray
 
@@ -184,13 +184,11 @@ def _estimate(props, shapes, measurements, config: ScenarioConfig, grid, guesses
             return [exc]
         one = [slice(run, run + 1) for run in range(len(shapes))]
         return [_estimate(props, shapes[r], measurements[r], config, grid, guesses[r])[0] for r in one]
-    nearest = [shapes[run].nearest_indices(taus) for run in solved]
-    T_truth = np.stack([shapes[run].stacked.T[k] for run, k in zip(solved, nearest)])
-    pos_err, ang_err = pose_errors(np.stack([x.T for x in states]), T_truth)
+    truth = [shapes[run].nodes[shapes[run].nearest_indices(taus)] for run in solved]
+    pos_err, ang_err = pose_errors(np.stack([x.T for x in states]), np.stack([t.T for t in truth]))
     for i, run in enumerate(solved):
         results[run] = EstimateRecord(
-            -1, results[run], taus, is_node, states[i], covs[i],
-            [shapes[run].nodes[k] for k in nearest[i]], pos_err[i], ang_err[i],
+            -1, results[run], taus, is_node, states[i], covs[i], truth[i], pos_err[i], ang_err[i]
         )
     return results
 
@@ -292,7 +290,7 @@ def envelope_hits(record: EstimateRecord, nodes_only: bool = True) -> np.ndarray
     points = np.flatnonzero(record.is_node) if nodes_only else np.arange(record.arclengths.size)
     T = record.states.T[points]
     P = position_covariance(T, record.covs[points])
-    d = np.stack([record.truth[i].T[:3, 3] for i in points]).reshape(-1, 3) - T[:, :3, 3]
+    d = record.truth.T[points, :3, 3] - T[:, :3, 3]
     # Locked sub-state: zero covariance, inside iff exact.
     locked = np.trace(P, axis1=-2, axis2=-1) < 1e-18
     x = np.linalg.solve(np.where(locked[:, None, None], np.eye(3), P), d[..., None])[..., 0]
@@ -348,7 +346,7 @@ def initial_guess_study(props, actuation, config: ScenarioConfig) -> InitialGues
     # Both guesses share the grid and the measurements: one batch of two.
     guesses = [straight_guess(grid, hyper), model_guess(grid, shape)]
     solutions = solver.raise_failed(solver.gauss_newton(_problem(config, grid, [measurements] * 2, guesses)))
-    tip_truth = shape.state_at(props.total_length)
+    tip_truth = shape.nodes[int(shape.nearest_indices(props.total_length))]
     return InitialGuessReport(
         straight=solutions[0],
         model=solutions[1],

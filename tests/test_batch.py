@@ -135,17 +135,19 @@ def test_nearest_indices_match_state_at(props, small_dataset):
     _, shape = small_dataset[0]
     config = study.ScenarioConfig(Scenario.STRAIN_PLUS_TIP_POSE)
     record = study.run_study(props, small_dataset[:1], config).records[0]
-    a = shape.arclengths
+    a = shape.nodes.s
     midpoints = 0.5 * (a[:-1] + a[1:])
     queries = np.concatenate([record.arclengths, midpoints, a, [-1.0, a[-1] + 1.0]])
-    # The reference is the scan over every sample that state_at made.
+    # The reference is a scan over every sample.
     expected = [int(np.argmin(np.abs(a - s))) for s in queries]
     np.testing.assert_array_equal(shape.nearest_indices(queries), expected)
-    assert [shape.nodes.index(shape.state_at(s)) for s in queries] == expected
-    assert [shape.nodes[i] for i in shape.nearest_indices(record.arclengths)] == record.truth
+    assert [int(shape.nearest_indices(s)) for s in queries] == expected
+    truth = shape.nodes[shape.nearest_indices(record.arclengths)]
+    for name in ("s", "T", "eps"):
+        np.testing.assert_array_equal(getattr(record.truth, name), getattr(truth, name))
     # A tie between two samples goes to the lower index, as with argmin.
     ties = [0.0, 1.0, 1.0, 2.0]
-    tie = GroundTruthShape([StateNode(s, np.eye(4), np.zeros(6)) for s in ties], np.zeros((4, 6)))
+    tie = GroundTruthShape(StateNode(ties, np.tile(np.eye(4), (4, 1, 1)), np.zeros((4, 6))), np.zeros((4, 6)))
     queries = [-1.0, 0.5, 1.0, 1.5, 3.0]
     expected = [int(np.argmin(np.abs(np.array(ties) - s))) for s in queries]
     assert expected == [0, 0, 1, 1, 3]
@@ -182,10 +184,9 @@ def test_a_run_on_the_log_branch_cut_is_filed_alone(props, small_dataset, monkey
     # branch cut, while its sensed arclengths, and so its grid, are those
     # of the simulated shapes it is batched with.
     straight = rodsim.solve_static(props, rodsim.Actuation((0.0,) * 8))
-    turn = se3.exp_se3(np.outer(straight.arclengths / straight.arclengths[-1], [0, 0, 0, 0, 0, np.pi]))
-    turned = GroundTruthShape(
-        [StateNode(node.s, R @ node.T, node.eps) for R, node in zip(turn, straight.nodes)], straight.sigma
-    )
+    s = straight.nodes.s
+    turn = se3.exp_se3(np.outer(s / s[-1], [0, 0, 0, 0, 0, np.pi]))
+    turned = GroundTruthShape(StateNode(s, turn @ straight.nodes.T, straight.nodes.eps), straight.sigma)
     dataset = [small_dataset[1], (None, turned), small_dataset[2]]
     config = study.ScenarioConfig(Scenario.POSE_AT_SEGMENT_ENDS, noise=rodsim.MeasurementNoise(sigma_a=0.0))
     singles = single_records(props, dataset[:1], config)

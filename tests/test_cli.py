@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rodgp import cli, rodsim
-from rodgp.config import load_config, measurement_rng, parse_config
+from rodgp.config import derive_seed, load_config, measurement_rng, parse_config
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -533,3 +533,82 @@ def test_estimate_writes_the_measurements_it_solved_with(workdir):
         assert getattr(read, field).shape == getattr(solved, field).shape
         np.testing.assert_array_equal(getattr(read, field), getattr(solved, field))
     assert cli._measurement_docs(read) == doc["problem"]["measurements"]
+
+
+def test_load_dataset_gives_the_simulated_arrays(workdir):
+    cfg = load_config(workdir / "config.json")
+    simulated = rodsim.sample_dataset(cfg.props(), 2, seed=derive_seed(cfg.seed, "dataset"))
+    loaded = cli._load_dataset(workdir / "data.json")
+    assert len(loaded) == len(simulated)
+    for (read_actuation, read), (actuation, shape) in zip(loaded, simulated):
+        assert read_actuation == actuation
+        for name in ("s", "T", "eps"):
+            np.testing.assert_array_equal(getattr(read.nodes, name), getattr(shape.nodes, name))
+        np.testing.assert_array_equal(read.sigma, shape.sigma)
+
+
+def sample(doc):
+    """An unsensed dense sample of the first run."""
+    return doc["runs"][0]["states"][5]
+
+
+def short_pose(doc):
+    del sample(doc)["T"][-1]
+
+
+def nan_pose(doc):
+    sample(doc)["T"][3] = float("nan")
+
+
+def non_rotation_pose(doc):
+    sample(doc)["T"][0] = 5.0
+
+
+def nan_arclength(doc):
+    sample(doc)["s"] = float("nan")
+
+
+def infinite_strain(doc):
+    sample(doc)["eps"][2] = float("inf")
+
+
+def descending_arclengths(doc):
+    states = doc["runs"][0]["states"]
+    states[5]["s"], states[6]["s"] = states[6]["s"], states[5]["s"]
+
+
+def no_states(doc):
+    doc["runs"][0]["states"] = []
+
+
+def no_runs(doc):
+    doc["runs"] = []
+
+
+@pytest.mark.parametrize(
+    "command, outputs", [("estimate", ["--run-index", "0", "--out"]), ("evaluate", ["--out-prefix"])]
+)
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (short_pose, "inhomogeneous shape"),
+        (nan_pose, "T must be finite"),
+        (non_rotation_pose, "rotation block is not orthonormal within tolerance"),
+        (nan_arclength, "s must be finite"),
+        (infinite_strain, "eps must be finite"),
+        (descending_arclengths, "dense samples must ascend in arclength"),
+        (no_states, "need at least one dense sample"),
+        (no_runs, "no runs"),
+    ],
+)
+def test_a_malformed_dataset_exits_2_naming_it(workdir, tmp_path, capsys, command, outputs, edit, message):
+    doc = json.loads((workdir / "data.json").read_text())
+    edit(doc)
+    dataset = tmp_path / "edited.json"
+    dataset.write_text(json.dumps(doc))
+    argv = [command, "--config", str(workdir / "config.json"), "--dataset", str(dataset)]
+    assert cli.main(argv + outputs + [str(tmp_path / command)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {dataset}: malformed dataset: ") and err.count("\n") == 1
+    assert message in err
+    assert not list(tmp_path.glob(command + "*"))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -108,17 +109,29 @@ def test_tendon_point_wrenches():
     np.testing.assert_allclose(total, [-2.0, 0, 0, 0, 0, 0], atol=1e-18)
 
 
+def integrate(props, base_stress, wrenches, tip_wrench, steps_per_segment=rodsim.MIN_STEPS_PER_SEGMENT):
+    """One configuration's dense shape, tip residual and error (or None)
+    from one rodsim._integrate pass."""
+    shapes, residuals, errors = rodsim._integrate(
+        props,
+        np.asarray(base_stress, dtype=float)[None],
+        rodsim._routed_stress(props, [wrenches]),
+        np.asarray(tip_wrench, dtype=float)[None],
+        rodsim._rounded_steps(props, steps_per_segment),
+    )
+    return shapes[0], residuals[0], errors[0]
+
+
 def test_integrate_rod_step_handling():
     props = RodProperties.default()
     with pytest.raises(ValueError):
-        rodsim.integrate_rod(props, np.zeros(6), [], np.zeros(6), 100)
-    with pytest.raises(ValueError):
-        rodsim.integrate_rod(props, np.full(6, np.nan), [], np.zeros(6))
-    shape, residual = rodsim.integrate_rod(props, np.zeros(6), [], np.zeros(6), 200)
+        integrate(props, np.zeros(6), [], np.zeros(6), 100)
+    shape, residual, error = integrate(props, np.zeros(6), [], np.zeros(6), 200)
+    assert error is None
     # 200 requested steps round up to 203 = 29 * 7 so disks hit samples.
     assert len(shape.nodes) == 2 * 203 + 1
     for s in props.disk_arclengths():
-        assert np.abs(shape.arclengths - s).min() < 1e-12
+        assert np.abs(shape.nodes.s - s).min() < 1e-12
     np.testing.assert_allclose(residual, np.zeros(6))
 
 
@@ -158,18 +171,19 @@ def test_integrate_rod_matches_a_coupled_rk4_loop():
     act = TIP_LOADED
     wrenches = rodsim.tendon_point_wrenches(props, act)
     base = np.array([0.3, -0.1, 0.2, 0.01, -0.02, 0.015])
-    shape, residual = rodsim.integrate_rod(props, base, wrenches, np.array(act.tip_wrench), 200)
+    shape, residual, error = integrate(props, base, wrenches, act.tip_wrench, 200)
+    assert error is None
     poses, stresses = coupled_rk4_reference(props, base, wrenches, 203)
-    np.testing.assert_allclose([n.T for n in shape.nodes], poses, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(shape.nodes.T, poses, rtol=0, atol=1e-13)
     np.testing.assert_allclose(shape.sigma, stresses, rtol=0, atol=1e-13)
     np.testing.assert_allclose(residual, stresses[-1] - act.tip_wrench, rtol=0, atol=1e-13)
 
 
 def test_integrate_rod_divergence():
     props = RodProperties.default()
-    with pytest.raises(ShootingError) as excinfo:
-        rodsim.integrate_rod(props, 1e8 * np.ones(6), [], np.zeros(6))
-    assert excinfo.value.residual.shape == (6,)
+    shape, _, error = integrate(props, 1e8 * np.ones(6), [], np.zeros(6))
+    assert shape is None and isinstance(error, ShootingError)
+    assert error.residual.shape == (6,)
 
 
 def test_unloaded_rod_is_straight():
@@ -202,7 +216,7 @@ def test_single_tendon_bends_with_constant_strain():
     props = RodProperties.default()
     K = rodsim.stiffness(props)
     shape = rodsim.solve_static(props, single_tendon(1.0))
-    i_end = shape.nearest_index(0.14)
+    i_end = int(shape.nearest_indices(0.14))
     loaded = np.array([n.eps for n in shape.nodes[:i_end]])
     assert np.abs(loaded - loaded[0]).max() == 0.0
     np.testing.assert_allclose(loaded[0, 0], 1.0 - 1.0 / K[0, 0], atol=1e-12)
@@ -224,7 +238,7 @@ def test_strain_jump_at_tendon_termination():
     EI = rodsim.stiffness(props)[4, 4]
     tau = 2.0
     shape = rodsim.solve_static(props, single_tendon(tau))
-    i_end = shape.nearest_index(0.14)
+    i_end = int(shape.nearest_indices(0.14))
     jump = abs(shape.nodes[i_end - 1].eps[4] - shape.nodes[i_end].eps[4])
     np.testing.assert_allclose(jump, props.pitch_radius * tau / EI, atol=1e-9)
     assert shape.nodes[i_end].eps[4] == 0.0
@@ -235,10 +249,10 @@ def test_opposing_tendons_compress_axially():
     EA = rodsim.stiffness(props)[0, 0]
     opposing = Actuation((1.0, 0.0, 1.0, 0.0) + (0.0,) * 4)
     shape = rodsim.solve_static(props, opposing)
-    proximal = shape.state_at(0.07)
+    proximal = shape.nodes[int(shape.nearest_indices(0.07))]
     np.testing.assert_allclose(proximal.eps[0], 1.0 - 2.0 / EA, atol=1e-12)
     np.testing.assert_allclose(proximal.eps[1:], np.zeros(5), atol=1e-12)
-    distal = shape.state_at(0.21)
+    distal = shape.nodes[int(shape.nearest_indices(0.21))]
     np.testing.assert_allclose(distal.eps, rodsim.REST_STRAIN, atol=1e-12)
 
 
@@ -333,23 +347,53 @@ def test_tip_moves_continuously_with_tension():
 
 
 def test_ground_truth_shape_validation_and_lookup():
-    nodes = [rodsim.StateNode(0.0, np.eye(4), rodsim.REST_STRAIN)]
+    nodes = rodsim.StateNode(np.zeros(1), np.eye(4)[None], rodsim.REST_STRAIN[None])
     with pytest.raises(ValueError):
         GroundTruthShape(nodes, np.zeros((2, 6)))
     shape = rodsim.solve_static(RodProperties.default(), single_tendon(1.0))
-    state = shape.state_at(0.07)
+    state = shape.nodes[int(shape.nearest_indices(0.07))]
     assert abs(state.s - 0.07) < 1e-3
-    assert shape.nearest_index(-1.0) == 0
+    assert shape.nearest_indices(-1.0) == 0
+
+
+def three_samples(s=(0.0, 0.1, 0.2), T=None, eps=None):
+    T = np.tile(np.eye(4), (3, 1, 1)) if T is None else T
+    eps = np.tile(rodsim.REST_STRAIN, (3, 1)) if eps is None else eps
+    return rodsim.StateNode(np.array(s), T, eps)
+
+
+@pytest.mark.parametrize(
+    "nodes, sigma, error, message",
+    [
+        (list(three_samples()), np.zeros((3, 6)), TypeError, "one stacked StateNode"),
+        (three_samples()[0], np.zeros((1, 6)), TypeError, "one stacked StateNode"),
+        (three_samples()[:0], np.zeros((0, 6)), ValueError, "at least one dense sample"),
+        (three_samples(T=np.tile(np.eye(4), (2, 1, 1))), np.zeros((3, 6)), ValueError, "T must have shape (3, 4, 4)"),
+        (three_samples(eps=np.zeros((2, 6))), np.zeros((3, 6)), ValueError, "eps must have shape (3, 6)"),
+        (three_samples(), np.zeros((3, 5)), ValueError, "sigma must have shape (3, 6)"),
+        (three_samples(s=(0.0, np.nan, 0.2)), np.zeros((3, 6)), ValueError, "s must be finite"),
+        (three_samples(T=np.full((3, 4, 4), np.nan)), np.zeros((3, 6)), ValueError, "T must be finite"),
+        (three_samples(eps=np.full((3, 6), np.inf)), np.zeros((3, 6)), ValueError, "eps must be finite"),
+        (three_samples(), np.full((3, 6), -np.inf), ValueError, "sigma must be finite"),
+        (three_samples(s=(0.0, 0.2, 0.1)), np.zeros((3, 6)), ValueError, "ascend in arclength"),
+    ],
+)
+def test_ground_truth_shape_checks_its_layout(nodes, sigma, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        GroundTruthShape(nodes, sigma)
 
 
 def test_ground_truth_arclengths_built_once():
     shape = rodsim.solve_static(RodProperties.default(), single_tendon(1.0))
-    s = shape.arclengths
-    assert shape.arclengths is s
+    s = shape.nodes.s
     np.testing.assert_array_equal(s, [node.s for node in shape.nodes])
     for tau in (0.0, 0.0701, 0.2, 0.28):
         k = int(np.argmin(np.abs(s - tau)))
-        assert shape.state_at(tau) is shape.nodes[k]
+        assert int(shape.nearest_indices(tau)) == k
+        state = shape.nodes[int(shape.nearest_indices(tau))]
+        assert state.s == s[k]
+        np.testing.assert_array_equal(state.T, shape.nodes.T[k])
+        np.testing.assert_array_equal(state.eps, shape.nodes.eps[k])
 
 
 def test_sample_dataset_reproducible_and_bounded():
@@ -428,15 +472,15 @@ def test_extract_measurements_zero_noise_reads_truth(props, small_dataset):
     silent = MeasurementNoise(0.0, 0.0, 0.0, 0.0, 10.0)
     rng = np.random.default_rng(5)
     for m in sensor_list(rodsim.extract_measurements(shape, Scenario.STRAIN_PLUS_TIP_POSE, props, silent, rng)):
-        state = shape.state_at(m.s)
+        state = shape.nodes[int(shape.nearest_indices(m.s))]
         np.testing.assert_array_equal(m.value, state.T if m.kind == "pose" else state.eps)
 
 
 def assert_same_shape(batched, single):
     np.testing.assert_array_equal(batched.sigma, single.sigma)
-    np.testing.assert_array_equal([n.T for n in batched.nodes], [n.T for n in single.nodes])
-    np.testing.assert_array_equal([n.eps for n in batched.nodes], [n.eps for n in single.nodes])
-    np.testing.assert_array_equal(batched.arclengths, single.arclengths)
+    np.testing.assert_array_equal(batched.nodes.T, single.nodes.T)
+    np.testing.assert_array_equal(batched.nodes.eps, single.nodes.eps)
+    np.testing.assert_array_equal(batched.nodes.s, single.nodes.s)
 
 
 @pytest.mark.parametrize(
@@ -472,7 +516,7 @@ def test_batch_polishes_only_the_shapes_that_miss(monkeypatch):
     miss = []
     for index, (act, root) in enumerate(zip((a for a, _ in data), roots)):
         wrenches = rodsim.tendon_point_wrenches(props, act)
-        _, residual = rodsim.integrate_rod(props, root, wrenches, np.array(act.tip_wrench))
+        _, residual, _ = integrate(props, root, wrenches, act.tip_wrench)
         if np.max(np.abs(residual)) >= rodsim.SHOOTING_TOL:
             miss.append(index)
     assert miss == [0, 1, 2]
@@ -644,11 +688,11 @@ def sequential_measurements(shape, scenario, props, noise, rng):
     strain_noise = np.diag([noise.sigma_nu**2] * 3 + [noise.sigma_omega**2] * 3)
 
     def pose_at(s):
-        state = shape.nodes[int(np.argmin(np.abs(shape.arclengths - s)))]
+        state = shape.nodes[int(np.argmin(np.abs(shape.nodes.s - s)))]
         return pose(state.s, corrupt_pose(state.T, pose_noise, rng), noise.pose_cov())
 
     def strain_at(s):
-        state = shape.nodes[int(np.argmin(np.abs(shape.arclengths - s)))]
+        state = shape.nodes[int(np.argmin(np.abs(shape.nodes.s - s)))]
         return strain(state.s, corrupt_strain(state.eps, strain_noise, rng), noise.strain_cov())
 
     if scenario is Scenario.POSE_AT_SEGMENT_ENDS:
@@ -675,13 +719,10 @@ def test_extract_measurements_look_up_the_truth_once(props, small_dataset, monke
     _, shape = small_dataset[2]
     calls = []
     original = GroundTruthShape.nearest_indices
-    monkeypatch.setattr(GroundTruthShape, "state_at", lambda *args: calls.append("state_at"))
     monkeypatch.setattr(
         GroundTruthShape, "nearest_indices", lambda self, s: calls.append("nearest_indices") or original(self, s)
     )
     rodsim.extract_measurements(shape, Scenario.STRAIN_PLUS_TIP_POSE, props, MeasurementNoise(), 0)
     assert calls == ["nearest_indices"]
-    stacked = shape.stacked
-    assert shape.stacked is stacked
-    np.testing.assert_array_equal(stacked.T, [node.T for node in shape.nodes])
-    np.testing.assert_array_equal(stacked.eps, [node.eps for node in shape.nodes])
+    np.testing.assert_array_equal(shape.nodes.T, [node.T for node in shape.nodes])
+    np.testing.assert_array_equal(shape.nodes.eps, [node.eps for node in shape.nodes])

@@ -78,7 +78,7 @@ def test_model_guess_reads_shape(props, small_dataset):
     grid = np.array([0.0, 0.14, 0.28])
     guess = study.model_guess(grid, shape)
     for s, node in zip(grid, guess):
-        ref = shape.state_at(s)
+        ref = shape.nodes[int(shape.nearest_indices(s))]
         np.testing.assert_array_equal(node.T, ref.T)
         np.testing.assert_array_equal(node.eps, ref.eps)
 
