@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import interpolation, rodsim, se3, solver, study
+from . import rodsim, se3, solver, study
 from .config import ConfigError, RunConfig, derive_seed, load_config, measurement_rng
 from .measurements import Measurements
 from .prior import PriorHyperparams, StateNode, sample_prior, uniform_grid

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rodsim
 from .rodsim import MeasurementNoise, RodProperties, Scenario
 from .study import ScenarioConfig
 

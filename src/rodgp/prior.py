@@ -83,18 +83,6 @@ class StateNode:
         return (self[k] for k in range(len(self)))
 
 
-def stack_nodes(nodes) -> StateNode:
-    """One StateNode holding a list of nodes as stacked arrays; a stack is
-    returned as it is."""
-    if isinstance(nodes, StateNode):
-        return nodes
-    return StateNode(
-        np.array([node.s for node in nodes], dtype=float),
-        np.stack([node.T for node in nodes]),
-        np.stack([node.eps for node in nodes]),
-    )
-
-
 def validate_grid(grid) -> np.ndarray:
     """Node arclengths: s_0 = 0, strictly increasing, at least two nodes."""
     s = np.asarray(grid, dtype=float)
@@ -165,25 +153,18 @@ def process_cov_inv(ds, hyper: PriorHyperparams) -> np.ndarray:
     return kron6(process_coeffs_inv(_positive(ds)), np.linalg.inv(hyper.Qc))
 
 
-def prior_terms(prev: StateNode, cur: StateNode) -> tuple:
-    """Prior error e (12,) and 12x24 Jacobian E of each interval, or stacks,
-    from one pass over T_k T_{k-1}^-1 = exp(hat6(xi)), xi and J(xi)^-1:
+def prior_terms_from_log(ds, eps_prev, eps_cur, xi, J_inv, J_inv_Ad) -> tuple:
+    """Prior error e (..., 12) and 12x24 Jacobian E of intervals of length
+    ds between strains eps_prev and eps_cur, given xi = log(T_k T_{k-1}^-1),
+    J(xi)^-1 and J(xi)^-1 Ad(T_k T_{k-1}^-1), for a caller that takes these
+    logs in one pass with other relative poses.
+
     e = [xi - ds eps_{k-1}; J(xi)^-1 eps_k - eps_{k-1}], zero on
     constant-strain rollouts. E is w.r.t. (dt_{k-1}, de_{k-1}, dt_k, de_k)
     under left perturbations T <- exp(hat6(dt)) T; its strain-row pose
     blocks use the 0.5 curly_hat(eps_k) linearisation the solver consumes,
     accurate to first order in the inter-node twist.
     """
-    rel = cur.T @ se3.pose_inverse(prev.T)
-    xi, J_inv = se3.log_se3_jacobian_inv(rel)
-    return prior_terms_from_log(cur.s - prev.s, prev.eps, cur.eps, xi, J_inv, J_inv @ se3.adjoint(rel))
-
-
-def prior_terms_from_log(ds, eps_prev, eps_cur, xi, J_inv, J_inv_Ad) -> tuple:
-    """prior_terms of intervals of length ds between strains eps_prev and
-    eps_cur, given xi = log(T_k T_{k-1}^-1), J(xi)^-1 and
-    J(xi)^-1 Ad(T_k T_{k-1}^-1), for a caller that takes these logs in one
-    pass with other relative poses."""
     ds = np.asarray(ds, dtype=float)[..., None]
     strain = (J_inv @ eps_cur[..., None])[..., 0]
     e = np.concatenate([xi - ds * eps_prev, strain - eps_prev], axis=-1)

@@ -16,8 +16,6 @@ import numpy as np
 # series in theta^2: the closed forms cancel catastrophically as theta -> 0,
 # while seven series terms are exact to machine precision up to here.
 TAYLOR_ANGLE = 0.3
-# Tolerance on the structural zeros checked by the vee maps.
-STRUCTURE_TOL = 1e-9
 # log is restricted to rotation angles below pi minus this margin; the
 # principal branch is ill-conditioned at the cut.
 BRANCH_MARGIN = 1e-6
@@ -97,30 +95,9 @@ def hat3(v) -> np.ndarray:
     return _linear(v, _HAT3)
 
 
-def vee3(M) -> np.ndarray:
-    """Inverse of hat3. Rejects matrices that are not skew within tolerance."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got {M.shape}")
-    if np.max(np.abs(M + M.T)) > STRUCTURE_TOL:
-        raise ValueError("matrix is not skew-symmetric within tolerance")
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
 def hat6(x) -> np.ndarray:
     """4x4 se(3) matrix [[hat3(omega), nu], [0, 0]] of a twist [nu; omega]."""
     return _linear(x, _HAT6)
-
-
-def vee6(M) -> np.ndarray:
-    """Inverse of hat6. Rejects matrices without the expected zero pattern."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4):
-        raise ValueError(f"expected 4x4 matrix, got {M.shape}")
-    if np.max(np.abs(M[3, :])) > STRUCTURE_TOL:
-        raise ValueError("bottom row must be zero within tolerance")
-    omega = vee3(M[:3, :3])
-    return np.concatenate([M[:3, 3], omega])
 
 
 def curly_hat(x) -> np.ndarray:
@@ -131,13 +108,6 @@ def curly_hat(x) -> np.ndarray:
 def _so3_series(W, first, second):
     """I + first * W + second * W @ W, the form of every SO(3) closed form."""
     return np.eye(3) + first * W + second * (W @ W)
-
-
-def exp_so3(phi) -> np.ndarray:
-    """Rodrigues rotation matrix for a rotation vector."""
-    phi = np.asarray(phi, dtype=float)
-    sin1, cos2 = _coefficients(_angle(phi))[0:2]
-    return _so3_series(hat3(phi), sin1, cos2)
 
 
 def log_so3(C) -> np.ndarray:
@@ -151,19 +121,6 @@ def log_so3(C) -> np.ndarray:
     half = np.where(theta > 0.0, theta / (2.0 * np.sin(np.where(theta > 0.0, theta, 1.0))), 0.5)
     A = C - np.swapaxes(C, -1, -2)
     return half[..., None] * A[..., [2, 0, 1], [1, 2, 0]]
-
-
-def jac_so3(phi) -> np.ndarray:
-    """Left Jacobian of SO(3)."""
-    phi = np.asarray(phi, dtype=float)
-    cos2, sin3 = _coefficients(_angle(phi))[1:3]
-    return _so3_series(hat3(phi), cos2, sin3)
-
-
-def jac_so3_inv(phi) -> np.ndarray:
-    """Inverse left Jacobian of SO(3). Requires angle < pi."""
-    W, coeffs = _angle_terms(np.asarray(phi, dtype=float))
-    return _so3_series(W, -0.5, coeffs[3])
 
 
 def exp_se3(xi) -> np.ndarray:
@@ -186,7 +143,8 @@ def exp_se3_from_jacobian(xi, J) -> np.ndarray:
 
 def _log_parts(T):
     """omega = log_so3(C) of a pose, hat3(omega), its angle coefficients
-    (checked below pi), Ji = jac_so3_inv(omega) and nu = Ji t."""
+    (checked below pi), the inverse SO(3) left Jacobian Ji of omega and
+    nu = Ji t."""
     T = np.asarray(T, dtype=float)
     omega = log_so3(T[..., :3, :3])
     W, coeffs = _angle_terms(omega)
@@ -212,21 +170,6 @@ def adjoint(T) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     C = T[..., :3, :3]
     return _block_upper(C, hat3(T[..., :3, 3]) @ C)
-
-
-def left_jacobian_series(xi, n_terms: int = 30) -> np.ndarray:
-    """Truncated series sum_n curly_hat(xi)^n / (n+1)!.
-
-    Slow reference evaluator for a single twist; the tests check the
-    closed-form left_jacobian and left_jacobian_inv against it.
-    """
-    A = curly_hat(xi)
-    J = np.eye(6)
-    term = np.eye(6)
-    for n in range(1, n_terms):
-        term = term @ A / (n + 1.0)
-        J = J + term
-    return J
 
 
 def _block_upper(A, B):
@@ -283,14 +226,6 @@ def pose_from_parts(C, r) -> np.ndarray:
     return T
 
 
-def rotation(T) -> np.ndarray:
-    return np.asarray(T, dtype=float)[:3, :3]
-
-
-def translation(T) -> np.ndarray:
-    return np.asarray(T, dtype=float)[:3, 3]
-
-
 def pose_inverse(T) -> np.ndarray:
     """Inverse using the orthogonality of the rotation block."""
     T = np.asarray(T, dtype=float)
@@ -316,7 +251,7 @@ def check_pose(T, tol: float = 1e-9) -> np.ndarray:
     return T
 
 
-def rotation_angle_deg(C_a, C_b) -> float:
+def rotation_angle_deg(C_a, C_b) -> float | np.ndarray:
     """Angle in degrees between two rotation matrices, or stacks of them."""
     R = np.asarray(C_a, dtype=float) @ np.swapaxes(np.asarray(C_b, dtype=float), -1, -2)
     cos_theta = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)

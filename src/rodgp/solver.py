@@ -23,8 +23,7 @@ import numpy as np
 
 from . import measurements as meas_mod
 from . import se3
-from .prior import PriorHyperparams, StateNode, process_cov_inv, prior_terms_from_log
-from .prior import stack_nodes, validate_grid
+from .prior import PriorHyperparams, StateNode, process_cov_inv, prior_terms_from_log, validate_grid
 
 # Measurement arclengths must coincide with grid nodes within this tolerance.
 NODE_MATCH_TOL = 1e-9
@@ -64,11 +63,12 @@ class Problem:
     """Estimation problem: grid, prior, measurements, initial guess, locks.
 
     measurements is one run's measurements.Measurements and initial_guess
-    its nodes, or a batch: a list of R containers on one layout (or one
-    container with a run axis of length R), and a list of R initial
-    guesses. Every run shares the grid, the prior, the locks, the
-    measurement nodes and their R^-1, which are held once; the measured
-    values and the initial guesses are held as (R, ...) stacks.
+    its nodes, one StateNode with s (n,), or a batch: a list of R
+    containers on one layout (or one container with a run axis of length
+    R), and a list of R such StateNodes. Every run shares the grid, the
+    prior, the locks, the measurement nodes and their R^-1, which are held
+    once; the measured values and the initial guesses are held as (R, ...)
+    stacks.
     What every iteration reuses is built here once: the lock masks that
     pinning takes, and the strain factors' Hessian, which is R^-1 on the
     strain block of each measured node whatever the iterate.
@@ -77,7 +77,7 @@ class Problem:
     grid: np.ndarray
     hyper: PriorHyperparams
     measurements: meas_mod.Measurements | list
-    initial_guess: list
+    initial_guess: StateNode | list
     locks: np.ndarray | None = None
     max_iters: int = 20
     step_tol: float = 1e-6
@@ -86,14 +86,15 @@ class Problem:
         self.grid = validate_grid(self.grid)
         n = self.grid.size
         self.batched = not _one_run(self.initial_guess)
-        guesses = self.initial_guess if self.batched else [self.initial_guess]
+        guesses = list(self.initial_guess) if self.batched else [self.initial_guess]
+        if not guesses or not all(map(_one_run, guesses)):
+            raise TypeError("initial_guess must be one StateNode with s (n,), or a list of them, one per run")
         layout, T_meas, eps_meas = meas_mod.stack_runs(self.measurements)
         if len(T_meas) != len(guesses):
             raise ValueError("need one run of measured values per initial guess")
         if any(len(guess) != n for guess in guesses):
             raise ValueError(f"initial guess must have {n} nodes")
-        stacks = [stack_nodes(guess) for guess in guesses]
-        self.guess = StateNode(*(np.stack([getattr(x, f) for x in stacks]) for f in ("s", "T", "eps")))
+        self.guess = StateNode(*(np.stack([getattr(x, f) for x in guesses]) for f in ("s", "T", "eps")))
         if np.any(np.abs(self.guess.s - self.grid) > NODE_MATCH_TOL):
             raise ValueError("initial guess arclengths must match the grid")
         se3.check_pose(self.guess.T)
@@ -123,26 +124,19 @@ class Problem:
 
 
 def _one_run(guess) -> bool:
-    """Whether an initial guess is one run's nodes, a stacked StateNode or a
-    list of single nodes, rather than a batch of such guesses."""
-    if isinstance(guess, StateNode):
-        return np.ndim(guess.s) == 1
-    return not guess or (isinstance(guess[0], StateNode) and np.ndim(guess[0].s) == 0)
+    """Whether an initial guess is one run's nodes, a StateNode with s (n,)."""
+    return isinstance(guess, StateNode) and np.ndim(guess.s) == 1
 
 
 def linearize(problem: Problem, T, eps, runs=slice(None)):
     """Normal equations without locks, and the cost, at the operating point.
 
     One stacked pass over all intervals and measurements of the problem's
-    runs `runs` at poses T (R, n, 4, 4) and strains eps (R, n, 6); a
-    one-run problem also takes T (n, 4, 4) and eps (n, 6) and drops the run
-    axis. Returns (H_diag, H_off, b, cost): the (R, n, 12, 12) diagonal
-    blocks, the (R, n - 1, 12, 12) blocks coupling nodes k and k + 1,
-    minus the gradient (R, n, 12), and the (R,) prior plus measurement
-    costs.
+    runs `runs` at poses T (R, n, 4, 4) and strains eps (R, n, 6).
+    Returns (H_diag, H_off, b, cost): the (R, n, 12, 12) diagonal blocks,
+    the (R, n - 1, 12, 12) blocks coupling nodes k and k + 1, minus the
+    gradient (R, n, 12), and the (R,) prior plus measurement costs.
     """
-    if T.ndim == 3:
-        return tuple(out[0] for out in linearize(problem, T[None], eps[None], runs))
     grid, n = problem.grid, problem.grid.size
     pose_node, pose_info, T_meas = problem.pose_stack
     # One log pass over the relative poses of the intervals, T_k T_{k-1}^-1,
@@ -195,16 +189,11 @@ def _lock_masks(free):
     return free, free[..., :, None] & free[..., None, :], free[..., :-1, :, None] & free[..., 1:, None, :]
 
 
-def pin(free, D, U, b):
-    """The system with every dimension outside the free mask pinned: unit
-    diagonal, zero coupling and zero right-hand side. Its solution and
-    inverse on the free dimensions are those of the system with the pinned
-    rows and columns deleted."""
-    return _pin(_lock_masks(free), D, U, b)
-
-
-def _pin(masks, D, U, b):
-    """pin from the _lock_masks of its free mask."""
+def pin(masks, D, U, b):
+    """The system with every dimension outside the free mask pinned, given
+    the _lock_masks of that mask: unit diagonal, zero coupling and zero
+    right-hand side. Its solution and inverse on the free dimensions are
+    those of the system with the pinned rows and columns deleted."""
     free, diag_mask, off_mask = masks
     return np.where(diag_mask, D, np.eye(free.shape[-1])), np.where(off_mask, U, 0.0), np.where(free, b, 0.0)
 
@@ -411,7 +400,7 @@ def gauss_newton(problem: Problem):
     for _ in range(problem.max_iters):
         if active.size == 0:
             break
-        D, U, rhs = _pin(masks, H_diag[active], H_off[active], b[active])
+        D, U, rhs = pin(masks, H_diag[active], H_off[active], b[active])
         factor, keep = _factor(D, U, active, errors)
         active = active[keep]
         full = np.where(masks[0], cr_solve(factor, rhs[keep]), 0.0)
@@ -441,7 +430,7 @@ def _finalize(problem, T, eps, system, cost_history, iterations, converged, erro
     an earlier iteration, gets its LinAlgError in place of a Solution."""
     free, diag_mask, off_mask = problem.masks
     runs = np.array([run for run in range(len(T)) if run not in errors], dtype=int)
-    D, U, _ = _pin(problem.masks, system[0][runs], system[1][runs], np.zeros(free.shape))
+    D, U, _ = pin(problem.masks, system[0][runs], system[1][runs], np.zeros(free.shape))
     factor, keep = _factor(D, U, runs, errors)
     results = [errors.get(run) for run in range(len(T))]
     marg, off = cr_marginals(factor)

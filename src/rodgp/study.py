@@ -166,7 +166,7 @@ def _problem(config: ScenarioConfig, grid, measurements, guesses) -> solver.Prob
     return solver.Problem(grid, config.hyperparams(), measurements, guesses, locks, config.max_iters, config.step_tol)
 
 
-def _estimate(props, shapes, measurements, config: ScenarioConfig, grid, guesses) -> list:
+def _estimate(shapes, measurements, config: ScenarioConfig, grid, guesses) -> list:
     """Solve, query and score runs that share one grid as one batch: an
     EstimateRecord per run, or the error of a run whose system is not
     positive definite (LinAlgError) or whose rotations leave the log branch
@@ -183,7 +183,7 @@ def _estimate(props, shapes, measurements, config: ScenarioConfig, grid, guesses
         if len(shapes) == 1:
             return [exc]
         one = [slice(run, run + 1) for run in range(len(shapes))]
-        return [_estimate(props, shapes[r], measurements[r], config, grid, guesses[r])[0] for r in one]
+        return [_estimate(shapes[r], measurements[r], config, grid, guesses[r])[0] for r in one]
     truth = [shapes[run].nodes[shapes[run].nearest_indices(taus)] for run in solved]
     pos_err, ang_err = pose_errors(np.stack([x.T for x in states]), np.stack([t.T for t in truth]))
     for i, run in enumerate(solved):
@@ -196,16 +196,16 @@ def _estimate(props, shapes, measurements, config: ScenarioConfig, grid, guesses
 def run_single(props, shape, measurements, config: ScenarioConfig, initial_guess=None) -> EstimateRecord:
     """Estimate one configuration and match it against its ground truth.
 
-    initial_guess is a node list on the estimation grid, or "straight"
-    (also None) for the prior-mean rollout or "model" to read it off
-    shape, built on that grid. This is the one-run case of run_study.
+    initial_guess is a StateNode with s (n,) on the estimation grid, or
+    "straight" (also None) for the prior-mean rollout or "model" to read it
+    off shape, built on that grid. This is the one-run case of run_study.
     """
     grid = estimation_grid(props.total_length, config.num_intervals, measurements.s)
     if initial_guess == "model":
         initial_guess = model_guess(grid, shape)
     elif initial_guess is None or initial_guess == "straight":
         initial_guess = straight_guess(grid, config.hyperparams())
-    return solver.raise_failed(_estimate(props, [shape], [measurements], config, grid, [initial_guess]))[0]
+    return solver.raise_failed(_estimate([shape], [measurements], config, grid, [initial_guess]))[0]
 
 
 def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
@@ -233,7 +233,7 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
         grid = estimation_grid(props.total_length, config.num_intervals, measurements[runs[0]].s)
         guesses = [straight_guess(grid, config.hyperparams())] * len(runs)
         shapes = [dataset[index][1] for index in runs]
-        outcome.update(zip(runs, _estimate(props, shapes, [measurements[i] for i in runs], config, grid, guesses)))
+        outcome.update(zip(runs, _estimate(shapes, [measurements[i] for i in runs], config, grid, guesses)))
     records, failures = [], []
     for index in range(len(dataset)):
         record = outcome[index]
@@ -319,14 +319,6 @@ class InitialGuessReport:
     model_tip: tuple
     straight_residual_sigmas: float
     model_residual_sigmas: float
-
-    @property
-    def straight_cost(self) -> float:
-        return self.straight.cost_history[-1]
-
-    @property
-    def model_cost(self) -> float:
-        return self.model.cost_history[-1]
 
 
 def initial_guess_study(props, actuation, config: ScenarioConfig) -> InitialGuessReport:

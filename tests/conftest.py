@@ -7,11 +7,11 @@ from rodgp import rodsim, se3, solver, study
 from rodgp.prior import PriorHyperparams, uniform_grid
 from rodgp.rodsim import RodProperties
 
-from oracles import pose, sensors
+from oracles import exp_so3, pose, sensors
 
 
 def random_rotation(rng, scale=1.0):
-    return se3.exp_so3(scale * rng.uniform(-1.0, 1.0, 3))
+    return exp_so3(scale * rng.uniform(-1.0, 1.0, 3))
 
 
 def random_pose(rng, rot_scale=1.0, trans_scale=1.0):

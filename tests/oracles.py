@@ -1,14 +1,75 @@
-"""Reference forms the tests check the library against: the pose residual
-of one measurement, and per-sensor views of the measurement container."""
+"""Reference forms the tests check the library against: SO(3) maps and the
+series left Jacobian, the prior terms of node pairs, node lists as
+stacks, the pose residual of one measurement, and per-sensor views of the
+measurement container."""
 
 from typing import NamedTuple
 
 import numpy as np
 
-from rodgp import se3
+from rodgp import se3, solver
 from rodgp.measurements import Measurements
+from rodgp.prior import StateNode, prior_terms_from_log
 
 FULL_MASK = np.ones(6, dtype=bool)
+
+
+def exp_so3(phi) -> np.ndarray:
+    """Rodrigues rotation matrix for a rotation vector."""
+    phi = np.asarray(phi, dtype=float)
+    sin1, cos2 = se3._coefficients(se3._angle(phi))[0:2]
+    return se3._so3_series(se3.hat3(phi), sin1, cos2)
+
+
+def jac_so3(phi) -> np.ndarray:
+    """Left Jacobian of SO(3)."""
+    phi = np.asarray(phi, dtype=float)
+    cos2, sin3 = se3._coefficients(se3._angle(phi))[1:3]
+    return se3._so3_series(se3.hat3(phi), cos2, sin3)
+
+
+def left_jacobian_series(xi, n_terms: int = 30) -> np.ndarray:
+    """Truncated series sum_n curly_hat(xi)^n / (n+1)! of one twist, the
+    slow reference of the closed-form left_jacobian and left_jacobian_inv."""
+    A = se3.curly_hat(xi)
+    J = np.eye(6)
+    term = np.eye(6)
+    for n in range(1, n_terms):
+        term = term @ A / (n + 1.0)
+        J = J + term
+    return J
+
+
+def prior_terms(prev: StateNode, cur: StateNode) -> tuple:
+    """prior.prior_terms_from_log of the intervals from prev to cur, nodes
+    or stacks, from one pass over T_k T_{k-1}^-1 = exp(hat6(xi))."""
+    rel = cur.T @ se3.pose_inverse(prev.T)
+    xi, J_inv = se3.log_se3_jacobian_inv(rel)
+    return prior_terms_from_log(cur.s - prev.s, prev.eps, cur.eps, xi, J_inv, J_inv @ se3.adjoint(rel))
+
+
+def stack_nodes(nodes) -> StateNode:
+    """One StateNode holding a list of nodes as stacked arrays; a stack is
+    returned as it is."""
+    if isinstance(nodes, StateNode):
+        return nodes
+    return StateNode(
+        np.array([node.s for node in nodes], dtype=float),
+        np.stack([node.T for node in nodes]),
+        np.stack([node.eps for node in nodes]),
+    )
+
+
+def linearize_one(problem, nodes) -> tuple:
+    """solver.linearize of one run's nodes, a stack or a node list, without
+    the run axis: (H_diag, H_off, b, cost)."""
+    stack = stack_nodes(nodes)
+    return tuple(out[0] for out in solver.linearize(problem, stack.T[None], stack.eps[None]))
+
+
+def pin(free, D, U, b) -> tuple:
+    """solver.pin of the system outside the free mask."""
+    return solver.pin(solver._lock_masks(free), D, U, b)
 
 
 def pose_residual(T_meas, T):

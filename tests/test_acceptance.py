@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from rodgp import cli
-from rodgp import interpolation, prior, rodsim, se3, solver, study
+from rodgp import interpolation, rodsim, se3, solver, study
 from rodgp.prior import StateNode
 
 from conftest import ACCEPTANCE_LINES, arc_problem
-from oracles import pose, pose_residual, strain
+from oracles import left_jacobian_series, linearize_one, pin, pose, pose_residual, prior_terms, strain
 from test_solver import (
     dense_from_blocks,
     dense_normal_equations,
@@ -57,7 +57,7 @@ def test_criterion_01_lie_core_properties():
         worst_round = max(worst_round, np.abs(se3.log_se3(T) - x).max())
         worst_jac = max(
             worst_jac,
-            np.abs(se3.left_jacobian(x) - se3.left_jacobian_series(x, 30)).max(),
+            np.abs(se3.left_jacobian(x) - left_jacobian_series(x, 30)).max(),
         )
         worst_adj = max(
             worst_adj,
@@ -88,7 +88,7 @@ def _fd_prior(gen, h=1e-6):
     prev = StateNode(0.0, T_prev, eps + gen.normal(0.0, 1e-5, 6))
     T_cur = se3.exp_se3(gen.normal(0.0, 1e-5, 6)) @ se3.exp_se3(ds * eps) @ T_prev
     cur = StateNode(ds, T_cur, eps + gen.normal(0.0, 1e-5, 6))
-    J = prior.prior_terms(prev, cur)[1]
+    J = prior_terms(prev, cur)[1]
     num = np.zeros_like(J)
     for j in range(24):
         node_idx, local = divmod(j, 12)
@@ -99,7 +99,7 @@ def _fd_prior(gen, h=1e-6):
                 node.T = se3.exp_se3(sign * h * np.eye(6)[local]) @ node.T
             else:
                 node.eps = node.eps + sign * h * np.eye(6)[local - 6]
-            num[:, j] += sign * prior.prior_terms(p, c)[0] / (2.0 * h)
+            num[:, j] += sign * prior_terms(p, c)[0] / (2.0 * h)
     return np.abs(J - num).max() / max(1.0, np.abs(num).max())
 
 
@@ -199,8 +199,8 @@ def test_criterion_03_solver_matches_dense_oracles(props, small_dataset):
     A_ref, b_ref = dense_normal_equations(problem, problem.initial_guess)
     A, _ = dense_from_blocks(diag, off)
     worst = max(worst, rel(A, A_ref), rel(np.concatenate(rhs), b_ref))
-    guess, free = problem.guess, ~problem.locks
-    D, U, b = solver.pin(free, *solver.linearize(problem, guess.T[0], guess.eps[0])[:3])
+    free = ~problem.locks
+    D, U, b = pin(free, *linearize_one(problem, problem.initial_guess)[:3])
     x = solver.cr_solve(solver.cr_factor(D, U), b)
     worst = max(worst, rel(x[free], np.linalg.solve(A_ref, b_ref)))
     ok = worst < 1e-8
@@ -323,18 +323,19 @@ def test_criterion_09_model_initialization_not_worse(props):
     cfg = study.ScenarioConfig(rodsim.Scenario.POSE_AT_SEGMENT_ENDS, seed=5)
     report = study.initial_guess_study(props, actuation, cfg)
     residuals = (report.straight_residual_sigmas, report.model_residual_sigmas)
+    costs = (report.straight.cost_history[-1], report.model.cost_history[-1])
     # Both guesses land in the same basin here, so the costs agree to
     # solver precision; the slack absorbs independent-rounding noise.
     ok = (
         report.straight.converged
         and report.model.converged
-        and report.model_cost <= report.straight_cost * (1.0 + 1e-6)
+        and costs[1] <= costs[0] * (1.0 + 1e-6)
         and all(np.isfinite(residuals))
     )
     verdict(
         9,
         ok,
-        f"final cost model {report.model_cost:.6f} vs straight {report.straight_cost:.6f}, "
+        f"final cost model {costs[1]:.6f} vs straight {costs[0]:.6f}, "
         f"residuals {residuals[1]:.2f} / {residuals[0]:.2f} sigma",
     )
 

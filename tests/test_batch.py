@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rodgp import rodsim, se3, solver, study
-from rodgp.prior import StateNode, stack_nodes
+from rodgp.prior import StateNode
 from rodgp.rodsim import GroundTruthShape, Scenario
 
 from conftest import arc_problem
@@ -34,7 +34,7 @@ def single_records(props, dataset, config):
 def assert_records_agree(batched, single):
     assert batched.solution.iterations == single.solution.iterations
     assert batched.solution.converged == single.solution.converged
-    a, b = stack_nodes(batched.states), stack_nodes(single.states)
+    a, b = batched.states, single.states
     np.testing.assert_allclose(a.T, b.T, rtol=0, atol=ROUND_OFF)
     np.testing.assert_allclose(a.eps, b.eps, rtol=0, atol=ROUND_OFF * np.abs(b.eps).max())
     np.testing.assert_allclose(batched.covs, single.covs, rtol=0, atol=ROUND_OFF * np.abs(single.covs).max())

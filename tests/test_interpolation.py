@@ -8,7 +8,7 @@ from rodgp import prior, rodsim, se3, solver, study
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import arc_problem
-from oracles import sensors
+from oracles import sensors, stack_nodes
 
 HYPER = PriorHyperparams(np.diag([0.01] * 6), np.array([1.0, 0, 0, 0, 0, 0]))
 
@@ -18,7 +18,7 @@ def factorized_solution(nodes, hyper=HYPER):
     grid = np.array([n.s for n in nodes])
     locks = np.zeros((grid.size, 12), dtype=bool)
     locks[0, :] = True
-    problem = solver.Problem(grid, hyper, sensors([]), nodes, locks)
+    problem = solver.Problem(grid, hyper, sensors([]), stack_nodes(nodes), locks)
     return solver.factorize(problem)
 
 

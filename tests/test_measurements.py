@@ -6,7 +6,7 @@ from rodgp import se3, solver
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import random_pose, random_twist
-from oracles import pose, pose_residual, sensor_list, sensors, strain
+from oracles import linearize_one, pose, pose_residual, sensor_list, sensors, stack_nodes, strain
 
 rng = np.random.default_rng(2)
 
@@ -92,9 +92,9 @@ def measurement_factor(measurement, T, eps):
     a two-node problem whose nodes both hold the pose T and the strain eps:
     the difference from the same problem without it."""
     grid = np.array([0.0, 1.0])
-    nodes = [StateNode(s, T, eps) for s in grid]
+    nodes = stack_nodes([StateNode(s, T, eps) for s in grid])
     with_it, without = (
-        solver.linearize(solver.Problem(grid, HYPER, ms, nodes), np.stack([T, T]), np.stack([eps, eps]))
+        linearize_one(solver.Problem(grid, HYPER, ms, nodes), nodes)
         for ms in (sensors([measurement]), sensors([]))
     )
     return tuple(with_it[i] - without[i] for i in (0, 2, 3))

@@ -7,7 +7,7 @@ from rodgp import prior, se3, solver
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import random_pose
-from oracles import sensors
+from oracles import linearize_one, prior_terms, sensors, stack_nodes
 
 rng = np.random.default_rng(1)
 
@@ -110,13 +110,13 @@ def test_prior_error_zero_on_constant_strain(eps_tuple, ds):
     eps = np.array(eps_tuple)
     prev = StateNode(0.0, np.eye(4), eps)
     cur = rollout_node(eps, ds)
-    np.testing.assert_allclose(prior.prior_terms(prev, cur)[0], np.zeros(12), atol=1e-10)
+    np.testing.assert_allclose(prior_terms(prev, cur)[0], np.zeros(12), atol=1e-10)
 
 
 def test_prior_error_zero_on_identical_nodes():
     node = StateNode(0.3, random_pose(rng), np.array([1.0, 0, 0, 0.1, 0, 0]))
     np.testing.assert_allclose(
-        prior.prior_terms(node, StateNode(0.3, node.T, node.eps))[0],
+        prior_terms(node, StateNode(0.3, node.T, node.eps))[0],
         np.zeros(12),
         atol=1e-14,
     )
@@ -131,13 +131,13 @@ def test_prior_error_matches_local_variable_form():
     gamma_prev = np.concatenate([np.zeros(6), prev.eps])
     gamma_cur = np.concatenate([xi, se3.left_jacobian_inv(xi) @ cur.eps])
     expected = gamma_cur - prior.transition(cur.s, prev.s) @ gamma_prev
-    np.testing.assert_allclose(prior.prior_terms(prev, cur)[0], expected, atol=1e-12)
+    np.testing.assert_allclose(prior_terms(prev, cur)[0], expected, atol=1e-12)
 
 
 def test_prior_error_jacobian_blocks_at_rest():
     prev = StateNode(0.0, np.eye(4), np.zeros(6))
     cur = StateNode(1.0, np.eye(4), np.zeros(6))
-    E = prior.prior_terms(prev, cur)[1]
+    E = prior_terms(prev, cur)[1]
     assert E.shape == (12, 24)
     np.testing.assert_allclose(E[:6, :6], -np.eye(6), atol=1e-12)
     np.testing.assert_allclose(E[:6, 6:12], -np.eye(6), atol=1e-12)
@@ -157,7 +157,7 @@ def test_prior_error_jacobian_finite_difference():
         prev = StateNode(0.0, random_pose(rng, 0.5), eps + rng.normal(0.0, 1e-5, 6))
         cur = rollout_node(eps, ds, prev.T)
         cur.eps = cur.eps + rng.normal(0.0, 1e-5, 6)
-        e, E = prior.prior_terms(prev, cur)
+        e, E = prior_terms(prev, cur)
         assert np.abs(e).max() < 1.0
         num = np.zeros((12, 24))
         for j in range(24):
@@ -170,7 +170,7 @@ def test_prior_error_jacobian_finite_difference():
                     node.T = se3.exp_se3(sign * h * np.eye(6)[local]) @ node.T
                 else:
                     node.eps = node.eps + sign * h * np.eye(6)[local - 6]
-                num[:, j] += sign * prior.prior_terms(p, c)[0] / (2.0 * h)
+                num[:, j] += sign * prior_terms(p, c)[0] / (2.0 * h)
         denom = max(1.0, np.abs(num).max())
         worst = max(worst, np.abs(E - num).max() / denom)
     assert worst < 1e-4
@@ -185,9 +185,9 @@ def test_prior_cost_values():
     def cost(x):
         T = se3.exp_se3(x * np.eye(6)[0])
         nodes = [StateNode(0.0, np.eye(4), np.zeros(6)), StateNode(1.0, T, np.zeros(6))]
-        np.testing.assert_allclose(prior.prior_terms(*nodes)[0], x * np.eye(12)[0], atol=1e-15)
-        stack = prior.stack_nodes(nodes)
-        return solver.linearize(solver.Problem(grid, HYPER, sensors([]), nodes), stack.T, stack.eps)[3]
+        np.testing.assert_allclose(prior_terms(*nodes)[0], x * np.eye(12)[0], atol=1e-15)
+        stack = stack_nodes(nodes)
+        return linearize_one(solver.Problem(grid, HYPER, sensors([]), stack), stack)[3]
 
     assert cost(0.0) == 0.0
     np.testing.assert_allclose(cost(1.0), 6.0, atol=1e-12)
@@ -260,13 +260,13 @@ def random_chain(gen, n):
 
 def test_stacked_prior_terms_equal_unstacked_rows():
     nodes = random_chain(np.random.default_rng(11), 12)
-    chain = prior.stack_nodes(nodes)
+    chain = stack_nodes(nodes)
     prev = StateNode(chain.s[:-1], chain.T[:-1], chain.eps[:-1])
     cur = StateNode(chain.s[1:], chain.T[1:], chain.eps[1:])
-    errors, jacobians = prior.prior_terms(prev, cur)
+    errors, jacobians = prior_terms(prev, cur)
     assert errors.shape == (11, 12) and jacobians.shape == (11, 12, 24)
     for k in range(11):
-        error, jacobian = prior.prior_terms(nodes[k], nodes[k + 1])
+        error, jacobian = prior_terms(nodes[k], nodes[k + 1])
         np.testing.assert_allclose(errors[k], error, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(jacobians[k], jacobian, rtol=1e-14, atol=1e-15)
 
@@ -288,7 +288,7 @@ def test_stacked_interval_matrices_equal_unstacked():
 def test_stacked_state_node_acts_as_a_node_list():
     gen = np.random.default_rng(12)
     nodes = [StateNode(0.1 * k, random_pose(gen), gen.standard_normal(6)) for k in range(5)]
-    stack = prior.stack_nodes(nodes)
+    stack = stack_nodes(nodes)
     assert len(stack) == 5
     with pytest.raises(TypeError):
         len(nodes[0])
@@ -299,8 +299,8 @@ def test_stacked_state_node_acts_as_a_node_list():
         np.testing.assert_array_equal(node.eps, nodes[k].eps)
     assert [node.s for node in stack] == [node.s for node in nodes]
     np.testing.assert_array_equal(stack[1:3].T, stack.T[1:3])
-    assert prior.stack_nodes(stack) is stack
-    again = prior.stack_nodes(list(stack))
+    assert stack_nodes(stack) is stack
+    again = stack_nodes(list(stack))
     for field in ("s", "T", "eps"):
         np.testing.assert_array_equal(getattr(again, field), getattr(stack, field))
 

@@ -8,7 +8,7 @@ from rodgp import prior, se3, solver, study
 from rodgp.prior import PriorHyperparams, StateNode
 
 from conftest import arc_problem
-from oracles import pose, pose_residual, sensor_list, sensors, strain
+from oracles import linearize_one, pin, pose, pose_residual, prior_terms, sensor_list, sensors, stack_nodes, strain
 
 rng = np.random.default_rng(3)
 
@@ -53,7 +53,7 @@ def embed_ragged(diag, off, rhs=None):
     b = np.zeros(free.shape)
     if rhs is not None:
         b[free] = np.concatenate(rhs)
-    return (*solver.pin(free, D, U, b), free)
+    return (*pin(free, D, U, b), free)
 
 
 def ragged_solve(diag, off, rhs):
@@ -75,8 +75,7 @@ def ragged_marginals(diag, off):
 def reduced_blocks(problem, nodes):
     """linearize's blocks at the nodes with the locked rows and columns
     deleted: (diag, off, rhs, free), free[k] the unlocked dimensions of node k."""
-    stack = prior.stack_nodes(nodes)
-    H_diag, H_off, b, _ = solver.linearize(problem, stack.T, stack.eps)
+    H_diag, H_off, b, _ = linearize_one(problem, nodes)
     free = [np.flatnonzero(~row) for row in problem.locks]
     diag = [H_diag[k][np.ix_(f, f)] for k, f in enumerate(free)]
     off = [H_off[k][np.ix_(free[k], free[k + 1])] for k in range(len(free) - 1)]
@@ -100,7 +99,7 @@ def sensors_at_nodes(problem):
 
 
 def rollout_guess(grid, eps):
-    return [StateNode(s, se3.exp_se3(s * eps), eps.copy()) for s in grid]
+    return stack_nodes([StateNode(s, se3.exp_se3(s * eps), eps.copy()) for s in grid])
 
 
 def dense_normal_equations(problem, nodes):
@@ -109,7 +108,7 @@ def dense_normal_equations(problem, nodes):
     A = np.zeros((12 * n, 12 * n))
     b = np.zeros(12 * n)
     for k in range(1, n):
-        e, E = prior.prior_terms(nodes[k - 1], nodes[k])
+        e, E = prior_terms(nodes[k - 1], nodes[k])
         Qi = prior.process_cov_inv(problem.grid[k] - problem.grid[k - 1], problem.hyper)
         idx = np.arange(12 * (k - 1), 12 * (k + 1))
         A[np.ix_(idx, idx)] += E.T @ Qi @ E
@@ -407,7 +406,7 @@ def looped_linearization(problem, nodes):
     H_diag, H_off, b = np.zeros((n, 12, 12)), np.zeros((n - 1, 12, 12)), np.zeros((n, 12))
     cost = 0.0
     for k in range(1, n):
-        e, E = prior.prior_terms(nodes[k - 1], nodes[k])
+        e, E = prior_terms(nodes[k - 1], nodes[k])
         Qi = prior.process_cov_inv(grid[k] - grid[k - 1], problem.hyper)
         E1, E2 = E[:, 0:12], E[:, 12:24]
         H_diag[k - 1] += E1.T @ Qi @ E1
@@ -448,8 +447,7 @@ def test_linearize_matches_looped_factors(props, small_dataset):
         for a, b in zip(guess, sol.nodes)
     ]
     for nodes in (guess, midpoint, sol.nodes):
-        stack = prior.stack_nodes(nodes)
-        fused = solver.linearize(problem, stack.T, stack.eps)
+        fused = linearize_one(problem, nodes)
         looped = looped_linearization(problem, nodes)
         for got, ref in zip(fused[:3], looped[:3]):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -542,8 +540,7 @@ def test_pinned_locks_match_the_ragged_assembled_system():
     keep = np.flatnonzero(free.ravel())
     P_ref[np.ix_(keep, keep)] = np.linalg.inv(A)
 
-    stack = prior.stack_nodes(nodes)
-    D, U, b = solver.pin(free, *solver.linearize(problem, stack.T, stack.eps)[:3])
+    D, U, b = pin(free, *linearize_one(problem, nodes)[:3])
     factor = solver.cr_factor(D, U)
     x = solver.cr_solve(factor, b)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-10 * np.abs(x_ref).max())
@@ -619,9 +616,8 @@ def test_posterior_samples_keep_every_locked_dimension_at_the_estimate():
     problem, _ = arc_problem()
     sol = solver.gauss_newton(problem)
     samples = solver.sample_posterior(sol, 6, np.random.default_rng(2))
-    est = prior.stack_nodes(sol.nodes)
-    for sample in samples:
-        stack = prior.stack_nodes(sample)
+    est = sol.nodes
+    for stack in samples:
         np.testing.assert_array_equal(stack.T[0], est.T[0])
         np.testing.assert_array_equal(stack.eps[:, 0:3], est.eps[:, 0:3])
         np.testing.assert_array_equal(stack.eps[-1], est.eps[-1])
@@ -631,22 +627,28 @@ def test_posterior_samples_keep_every_locked_dimension_at_the_estimate():
 def test_problem_tells_one_run_from_a_batch():
     problem, _ = arc_problem()
     sol = solver.gauss_newton(problem)
-    guess_list = list(sol.nodes)
-    for guess in (sol.nodes, guess_list):
-        one = solver.Problem(problem.grid, HYPER, problem.measurements, guess, problem.locks)
-        assert not one.batched and one.guess.T.shape == (1, problem.grid.size, 4, 4)
-        np.testing.assert_array_equal(one.guess.T[0], sol.nodes.T)
-        np.testing.assert_array_equal(one.guess.s[0], problem.grid)
-    # A list of stacks, or of node lists, is a batch of their runs.
-    for guesses in ([sol.nodes, problem.initial_guess], [guess_list, list(problem.initial_guess)]):
-        batch = solver.Problem(problem.grid, HYPER, [problem.measurements] * 2, guesses, problem.locks)
-        assert batch.batched and batch.guess.T.shape == (2, problem.grid.size, 4, 4)
-        np.testing.assert_array_equal(batch.guess.T[0], sol.nodes.T)
-        np.testing.assert_array_equal(batch.guess.eps[1], prior.stack_nodes(problem.initial_guess).eps)
+    one = solver.Problem(problem.grid, HYPER, problem.measurements, sol.nodes, problem.locks)
+    assert not one.batched and one.guess.T.shape == (1, problem.grid.size, 4, 4)
+    np.testing.assert_array_equal(one.guess.T[0], sol.nodes.T)
+    np.testing.assert_array_equal(one.guess.s[0], problem.grid)
+    # A list of stacks is a batch of their runs.
+    guesses = [sol.nodes, problem.initial_guess]
+    batch = solver.Problem(problem.grid, HYPER, [problem.measurements] * 2, guesses, problem.locks)
+    assert batch.batched and batch.guess.T.shape == (2, problem.grid.size, 4, 4)
+    np.testing.assert_array_equal(batch.guess.T[0], sol.nodes.T)
+    np.testing.assert_array_equal(batch.guess.eps[1], problem.initial_guess.eps)
     # A warm start from the solution stops within the step tolerance.
     warm = solver.gauss_newton(solver.Problem(problem.grid, HYPER, problem.measurements, sol.nodes, problem.locks))
     assert warm.converged and warm.iterations == 1
     np.testing.assert_allclose(warm.nodes.T, sol.nodes.T, rtol=0, atol=problem.step_tol)
+
+
+def test_problem_rejects_node_lists_naming_the_accepted_forms():
+    problem, _ = arc_problem()
+    nodes = list(problem.initial_guess)
+    for guess in (nodes, [nodes, nodes], []):
+        with pytest.raises(TypeError, match=r"one StateNode with s \(n,\), or a list of them, one per run"):
+            solver.Problem(problem.grid, HYPER, problem.measurements, guess, problem.locks)
 
 
 def test_stacked_measurement_information_masks_each_covariance():
