@@ -25,8 +25,10 @@ class ConfigError(ValueError):
 
 
 def default_config() -> dict:
-    """The reference study configuration as a plain JSON-ready dict."""
-    props = RodProperties.default()
+    """The reference study configuration as a plain JSON-ready dict, read
+    off the defaults of RodProperties and ScenarioConfig."""
+    props, settings = RodProperties.default(), ScenarioConfig(Scenario.POSE_AT_SEGMENT_ENDS)
+    noise = settings.noise
     return {
         "rod": {
             "E_pa": props.young_modulus,
@@ -40,27 +42,27 @@ def default_config() -> dict:
             ],
         },
         "prior": {
-            "qc_diag": [1.0, 1.0, 1.0, 100.0, 100.0, 100.0],
-            "eps_bar": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            "K": 29,
-            "M": 5,
+            "qc_diag": list(settings.qc_diag),
+            "eps_bar": list(settings.eps_bar),
+            "K": settings.num_intervals,
+            "M": settings.states_per_interval,
         },
         "noise": {
-            "sigma_t_m": 1e-3,
-            "sigma_a_rad": 0.01,
-            "sigma_nu": 0.05,
-            "sigma_omega": 0.05,
-            "r_inflation": 10.0,
+            "sigma_t_m": noise.sigma_t,
+            "sigma_a_rad": noise.sigma_a,
+            "sigma_nu": noise.sigma_nu,
+            "sigma_omega": noise.sigma_omega,
+            "r_inflation": noise.r_inflation,
         },
         "scenario": {
-            "type": Scenario.POSE_AT_SEGMENT_ENDS.value,
+            "type": settings.scenario.value,
             "locks": {
-                "root_pose": True,
-                "tip_strain": False,
-                "translational_strains": False,
+                "root_pose": settings.lock_root_pose,
+                "tip_strain": settings.lock_tip_strain,
+                "translational_strains": settings.lock_translational_strains,
             },
         },
-        "solver": {"max_iters": 20, "tol": 1e-6},
+        "solver": {"max_iters": settings.max_iters, "tol": settings.step_tol},
         "seed": 0,
     }
 

@@ -30,8 +30,7 @@ class Measurements:
     "strain", the observed components mask (m, 6) and covariance R
     (m, 6, 6). The measured values are T_meas (p, 4, 4) of the p pose
     sensors and eps_meas (m - p, 6) of the strain sensors, each in sensor
-    order; both may carry one leading run axis, (runs, p, 4, 4) and
-    (runs, m - p, 6), for the runs of a batch, which measure on one layout.
+    order. The runs of a batch are a list of containers on one layout.
     """
 
     s: np.ndarray
@@ -51,10 +50,9 @@ class Measurements:
         if unknown.size:
             raise ValueError(f"kind must be 'pose' or 'strain', got '{unknown[0]}'")
         m, p = self.s.size, int(np.count_nonzero(pose))
-        runs = self.T_meas.shape[:1] if self.T_meas.ndim == 4 else ()
         for name, shape in (
             ("s", (m,)), ("kind", (m,)), ("mask", (m, 6)), ("R", (m, 6, 6)),
-            ("T_meas", runs + (p, 4, 4)), ("eps_meas", runs + (m - p, 6)),
+            ("T_meas", (p, 4, 4)), ("eps_meas", (m - p, 6)),
         ):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
@@ -87,16 +85,14 @@ class Measurements:
 def stack_runs(runs) -> tuple:
     """The layout shared by `runs`, one container or a list of containers,
     and their measured values along one run axis: (layout, T_meas
-    (R, p, 4, 4), eps_meas (R, m - p, 6)). A container without a run axis
-    is one run."""
+    (R, p, 4, 4), eps_meas (R, m - p, 6))."""
     runs = [runs] if isinstance(runs, Measurements) else list(runs)
     if not runs:
         raise ValueError("need at least one run of measurements")
     layout = runs[0]
     if not all(np.array_equal(getattr(layout, f), getattr(run, f)) for run in runs[1:] for f in LAYOUT):
         raise ValueError("the runs of a batch must share their measurement nodes, kinds and covariances")
-    values = [(r.T_meas, r.eps_meas) if r.T_meas.ndim == 4 else (r.T_meas[None], r.eps_meas[None]) for r in runs]
-    return (layout, *(np.concatenate(v) for v in zip(*values)))
+    return layout, np.stack([r.T_meas for r in runs]), np.stack([r.eps_meas for r in runs])
 
 
 def noise_factor(R) -> np.ndarray:

@@ -64,11 +64,10 @@ class Problem:
 
     measurements is one run's measurements.Measurements and initial_guess
     its nodes, one StateNode with s (n,), or a batch: a list of R
-    containers on one layout (or one container with a run axis of length
-    R), and a list of R such StateNodes. Every run shares the grid, the
-    prior, the locks, the measurement nodes and their R^-1, which are held
-    once; the measured values and the initial guesses are held as (R, ...)
-    stacks.
+    containers on one layout and a list of R such StateNodes. Every run
+    shares the grid, the prior, the locks, the measurement nodes and their
+    R^-1, which are held once; the measured values and the initial guesses
+    are held as (R, ...) stacks.
     What every iteration reuses is built here once: the lock masks that
     pinning takes, and the strain factors' Hessian, which is R^-1 on the
     strain block of each measured node whatever the iterate.
@@ -352,31 +351,6 @@ class Solution:
         return self.problem.hyper
 
 
-def _factor(D, U, runs, errors):
-    """cr_factor of the pinned systems (R, ...) of `runs`, and the indices
-    of the systems it holds: a run whose own system is not positive
-    definite is left out, its numpy.linalg.LinAlgError filed in errors."""
-    try:
-        return cr_factor(D, U), np.arange(len(runs))
-    except np.linalg.LinAlgError:
-        keep = []
-        for i, run in enumerate(runs):
-            try:
-                cr_factor(D[i], U[i])
-                keep.append(i)
-            except np.linalg.LinAlgError as exc:
-                errors[run] = exc
-        return cr_factor(D[keep], U[keep]), np.array(keep, dtype=int)
-
-
-def raise_failed(results) -> list:
-    """The results of a batch, after raising the first run's error."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
-
-
 def gauss_newton(problem: Problem):
     """Full-step Gauss-Newton with lock-aware block-tridiagonal solves,
     over every run of the problem at once.
@@ -386,24 +360,22 @@ def gauss_newton(problem: Problem):
     infinity-norm drops below problem.step_tol (converged) or after
     problem.max_iters iterations; a cost increase along the way flags it
     as not converged even if the step criterion is met later. Returns the
-    Solution of a one-run problem, raising numpy.linalg.LinAlgError when
-    its system is not positive definite (under-constrained); for a batch,
-    one Solution or LinAlgError per run, in run order.
+    Solution of a one-run problem and, for a batch, one Solution per run
+    in run order. Raises numpy.linalg.LinAlgError when the system of any
+    run is not positive definite (under-constrained).
     """
     T, eps = problem.guess.T.copy(), problem.guess.eps.copy()
     H_diag, H_off, b, cost = linearize(problem, T, eps)
     cost_history = [[c] for c in cost.tolist()]
     runs = len(cost_history)
     iterations, converged, monotone = np.zeros(runs, dtype=int), np.zeros(runs, dtype=bool), np.ones(runs, dtype=bool)
-    active, errors, masks = np.arange(runs), {}, problem.masks
+    active, masks = np.arange(runs), problem.masks
 
     for _ in range(problem.max_iters):
         if active.size == 0:
             break
         D, U, rhs = pin(masks, H_diag[active], H_off[active], b[active])
-        factor, keep = _factor(D, U, active, errors)
-        active = active[keep]
-        full = np.where(masks[0], cr_solve(factor, rhs[keep]), 0.0)
+        full = np.where(masks[0], cr_solve(cr_factor(D, U), rhs), 0.0)
         T[active] = se3.exp_se3(full[..., 0:6]) @ T[active]
         eps[active] += full[..., 6:12]
         iterations[active] += 1
@@ -418,37 +390,35 @@ def gauss_newton(problem: Problem):
         converged[active[done]] = True
         active = active[~done]
 
-    results = _finalize(problem, T, eps, (H_diag, H_off), cost_history, iterations, converged & monotone, errors)
-    return results if problem.batched else raise_failed(results)[0]
+    solutions = _finalize(problem, T, eps, (H_diag, H_off), cost_history, iterations, converged & monotone)
+    return solutions if problem.batched else solutions[0]
 
 
-def _finalize(problem, T, eps, system, cost_history, iterations, converged, errors) -> list:
+def _finalize(problem, T, eps, system, cost_history, iterations, converged) -> list:
     """Factor the systems linearised at the runs' final nodes (T, eps) in
     one call and package one Solution per run: (n, 12, 12) marginals and
     (n - 1, 24, 24) joints of adjacent nodes, zero on the locked
-    dimensions. A run whose system is not positive definite, here or in
-    an earlier iteration, gets its LinAlgError in place of a Solution."""
+    dimensions."""
     free, diag_mask, off_mask = problem.masks
-    runs = np.array([run for run in range(len(T)) if run not in errors], dtype=int)
-    D, U, _ = pin(problem.masks, system[0][runs], system[1][runs], np.zeros(free.shape))
-    factor, keep = _factor(D, U, runs, errors)
-    results = [errors.get(run) for run in range(len(T))]
+    D, U, _ = pin(problem.masks, system[0], system[1], np.zeros(free.shape))
+    factor = cr_factor(D, U)
     marg, off = cr_marginals(factor)
     np.copyto(marg, 0.0, where=~diag_mask)
     np.copyto(off, 0.0, where=~off_mask)
     joint = _joint(marg[:, :-1], off, marg[:, 1:])
-    for i, run in enumerate(runs[keep]):
-        results[run] = Solution(
+    return [
+        Solution(
             nodes=StateNode(problem.guess.s[run], T[run], eps[run]),
-            marginal_covs=marg[i],
-            joint_covs=joint[i],
+            marginal_covs=marg[run],
+            joint_covs=joint[run],
             cost_history=cost_history[run],
             iterations=int(iterations[run]),
             converged=bool(converged[run]),
             problem=problem,
-            factor=([(Li[i], W[i]) for Li, W in factor[0]], factor[1][i]),
+            factor=([(Li[run], W[run]) for Li, W in factor[0]], factor[1][run]),
         )
-    return results
+        for run in range(len(T))
+    ]
 
 
 def factorize(problem: Problem):
@@ -462,8 +432,8 @@ def factorize(problem: Problem):
     system = linearize(problem, guess.T, guess.eps)
     runs = guess.T.shape[0]
     history = [[c] for c in system[3].tolist()]
-    results = _finalize(problem, guess.T, guess.eps, system, history, np.zeros(runs), np.ones(runs, dtype=bool), {})
-    return results if problem.batched else raise_failed(results)[0]
+    solutions = _finalize(problem, guess.T, guess.eps, system, history, np.zeros(runs), np.ones(runs, dtype=bool))
+    return solutions if problem.batched else solutions[0]
 
 
 def sample_posterior(solution: Solution, count: int, rng):

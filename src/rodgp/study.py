@@ -168,29 +168,25 @@ def _problem(config: ScenarioConfig, grid, measurements, guesses) -> solver.Prob
 
 def _estimate(shapes, measurements, config: ScenarioConfig, grid, guesses) -> list:
     """Solve, query and score runs that share one grid as one batch: an
-    EstimateRecord per run, or the error of a run whose system is not
+    EstimateRecord per run, in run order. A run whose system is not
     positive definite (LinAlgError) or whose rotations leave the log branch
-    (BranchError), in run order. The log branch is checked on the whole
-    batch, so a BranchError sends every run through a solve of its own."""
+    (BranchError) fails the whole batch, so every run is then solved alone,
+    and a run that fails alone gets its error in place of a record."""
     try:
-        results = solver.gauss_newton(_problem(config, grid, measurements, guesses))
-        solved = [run for run, result in enumerate(results) if isinstance(result, solver.Solution)]
-        if not solved:
-            return results
+        solutions = solver.gauss_newton(_problem(config, grid, measurements, guesses))
         taus, is_node = query_points(grid, config.states_per_interval)
-        states, covs = interpolation.query([results[run] for run in solved], taus)
-    except se3.BranchError as exc:
+        states, covs = interpolation.query(solutions, taus)
+    except (np.linalg.LinAlgError, se3.BranchError) as exc:
         if len(shapes) == 1:
             return [exc]
         one = [slice(run, run + 1) for run in range(len(shapes))]
         return [_estimate(shapes[r], measurements[r], config, grid, guesses[r])[0] for r in one]
-    truth = [shapes[run].nodes[shapes[run].nearest_indices(taus)] for run in solved]
+    truth = [shape.nodes[shape.nearest_indices(taus)] for shape in shapes]
     pos_err, ang_err = pose_errors(np.stack([x.T for x in states]), np.stack([t.T for t in truth]))
-    for i, run in enumerate(solved):
-        results[run] = EstimateRecord(
-            -1, results[run], taus, is_node, states[i], covs[i], truth[i], pos_err[i], ang_err[i]
-        )
-    return results
+    return [
+        EstimateRecord(-1, solutions[i], taus, is_node, states[i], covs[i], truth[i], pos_err[i], ang_err[i])
+        for i in range(len(shapes))
+    ]
 
 
 def run_single(props, shape, measurements, config: ScenarioConfig, initial_guess=None) -> EstimateRecord:
@@ -198,14 +194,18 @@ def run_single(props, shape, measurements, config: ScenarioConfig, initial_guess
 
     initial_guess is a StateNode with s (n,) on the estimation grid, or
     "straight" (also None) for the prior-mean rollout or "model" to read it
-    off shape, built on that grid. This is the one-run case of run_study.
+    off shape, built on that grid. This is the one-run case of run_study;
+    a run that fails raises its error.
     """
     grid = estimation_grid(props.total_length, config.num_intervals, measurements.s)
     if initial_guess == "model":
         initial_guess = model_guess(grid, shape)
     elif initial_guess is None or initial_guess == "straight":
         initial_guess = straight_guess(grid, config.hyperparams())
-    return solver.raise_failed(_estimate([shape], [measurements], config, grid, [initial_guess]))[0]
+    (record,) = _estimate([shape], [measurements], config, grid, [initial_guess])
+    if isinstance(record, Exception):
+        raise record
+    return record
 
 
 def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
@@ -337,7 +337,7 @@ def initial_guess_study(props, actuation, config: ScenarioConfig) -> InitialGues
     grid = estimation_grid(props.total_length, config.num_intervals, measurements.s)
     # Both guesses share the grid and the measurements: one batch of two.
     guesses = [straight_guess(grid, hyper), model_guess(grid, shape)]
-    solutions = solver.raise_failed(solver.gauss_newton(_problem(config, grid, [measurements] * 2, guesses)))
+    solutions = solver.gauss_newton(_problem(config, grid, [measurements] * 2, guesses))
     tip_truth = shape.nodes[int(shape.nearest_indices(props.total_length))]
     return InitialGuessReport(
         straight=solutions[0],

@@ -1,6 +1,8 @@
 """Batched estimation: a scenario's runs solved, queried and scored together
 must give what one-run solves of the same runs give."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,14 +23,18 @@ def reference_dataset(props):
     return rodsim.sample_dataset(props, 8, seed=11)
 
 
+def measured(props, shape, config, index):
+    """Run `index`'s measurements, drawn from run_study's noise stream."""
+    rng = np.random.default_rng([config.seed, index])
+    return rodsim.extract_measurements(shape, config.scenario, props, config.noise, rng)
+
+
 def single_records(props, dataset, config):
     """run_single (a batch of one) for every run, with run_study's noise streams."""
-    out = []
-    for index, (_, shape) in enumerate(dataset):
-        rng = np.random.default_rng([config.seed, index])
-        measurements = rodsim.extract_measurements(shape, config.scenario, props, config.noise, rng)
-        out.append(study.run_single(props, shape, measurements, config))
-    return out
+    return [
+        study.run_single(props, shape, measured(props, shape, config, index), config)
+        for index, (_, shape) in enumerate(dataset)
+    ]
 
 
 def assert_records_agree(batched, single):
@@ -71,42 +77,46 @@ def test_reference_study_batch_equals_single_solves(props, reference_dataset, sc
         assert_records_agree(record, singles[record.index])
 
 
-def indefinite_run(bad):
-    """solver.linearize with run `bad`'s diagonal blocks negated, so that
-    its own system, and no other, is not positive definite."""
+def indefinite_where(measurements):
+    """solver.linearize with the diagonal blocks negated of every run whose
+    measured values are those of `measurements`, so that its own system,
+    and no other, is not positive definite, in a batch or alone."""
 
     def linearize(problem, T, eps, runs=slice(None)):
         H_diag, H_off, b, cost = LINEARIZE(problem, T, eps, runs)
-        H_diag[np.arange(problem.guess.T.shape[0])[runs] == bad] *= -1.0
+        hit = [
+            np.array_equal(T_m, measurements.T_meas) and np.array_equal(e_m, measurements.eps_meas)
+            for T_m, e_m in zip(problem.pose_stack[2][runs], problem.strain_stack[2][runs])
+        ]
+        H_diag[np.array(hit, dtype=bool)] *= -1.0
         return H_diag, H_off, b, cost
 
     return linearize
 
 
-def test_failed_factor_files_only_its_run(monkeypatch):
+def test_a_failed_factor_raises_from_its_batch(monkeypatch):
     problem, _ = arc_problem()
-    guesses = [problem.initial_guess] * 3
-    batch = solver.Problem(problem.grid, problem.hyper, [problem.measurements] * 3, guesses, problem.locks)
-    reference = solver.gauss_newton(problem)
-    monkeypatch.setattr(solver, "linearize", indefinite_run(0))
+    one = problem.measurements
+    bad = dataclasses.replace(one, T_meas=se3.exp_se3(0.01 * np.ones(6)) @ one.T_meas)
+    guess = problem.initial_guess
+    batch = solver.Problem(problem.grid, problem.hyper, [one, bad, one], [guess] * 3, problem.locks)
+    monkeypatch.setattr(solver, "linearize", indefinite_where(bad))
+    assert solver.gauss_newton(problem).converged
     with pytest.raises(np.linalg.LinAlgError) as single_error:
-        solver.gauss_newton(problem)
-    monkeypatch.setattr(solver, "linearize", indefinite_run(1))
-    results = solver.gauss_newton(batch)
-    assert isinstance(results[1], np.linalg.LinAlgError)
-    assert str(results[1]) == str(single_error.value)
-    for solution in (results[0], results[2]):
-        assert solution.iterations == reference.iterations and solution.converged
-        for a, b in zip(solution.nodes, reference.nodes):
-            np.testing.assert_allclose(a.T, b.T, rtol=0, atol=ROUND_OFF)
-        np.testing.assert_allclose(solution.marginal_covs, reference.marginal_covs, rtol=0, atol=ROUND_OFF)
+        solver.gauss_newton(solver.Problem(problem.grid, problem.hyper, bad, guess, problem.locks))
+    with pytest.raises(np.linalg.LinAlgError) as batch_error:
+        solver.gauss_newton(batch)
+    assert str(batch_error.value) == str(single_error.value)
 
 
 def test_study_files_a_failed_factor_alone(props, small_dataset, monkeypatch):
     config = study.ScenarioConfig(Scenario.POSE_AT_SEGMENT_ENDS)
     singles = single_records(props, small_dataset, config)
-    monkeypatch.setattr(solver, "linearize", indefinite_run(1))
+    monkeypatch.setattr(solver, "linearize", indefinite_where(measured(props, small_dataset[1][1], config, 1)))
+    sizes = batch_sizes(monkeypatch)
     result = study.run_study(props, small_dataset, config)
+    # The batch fails, so every run is solved alone.
+    assert sizes == [3, 1, 1, 1]
     assert result.failures == [(1, "solver error: Matrix is not positive definite")]
     assert [r.index for r in result.records] == [0, 2]
     for record in result.records:

@@ -7,6 +7,7 @@ import pytest
 from rodgp import config as cfg
 from rodgp.config import ConfigError
 from rodgp.rodsim import RodProperties, Scenario
+from rodgp.study import ScenarioConfig
 
 
 def test_empty_document_takes_defaults():
@@ -16,6 +17,17 @@ def test_empty_document_takes_defaults():
     assert run.scenario() is Scenario.POSE_AT_SEGMENT_ENDS
     assert run.noise().sigma_t == pytest.approx(1e-3)
     assert run.seed == 0
+
+
+def test_defaults_are_the_study_defaults():
+    # The document's defaults are read off ScenarioConfig and
+    # MeasurementNoise, so an empty document gives their settings, under
+    # the hash that every output file of the reference config records.
+    run = cfg.parse_config({})
+    for scenario in Scenario:
+        expected = ScenarioConfig(scenario, seed=cfg.derive_seed(0, f"study:{scenario.value}"))
+        assert run.scenario_config(scenario) == expected
+    assert run.config_hash() == "37cfca577de85139d9a5a00951ce8a06ec140defd3d84f39fd2d3553815e568f"
 
 
 def test_partial_override_merges():

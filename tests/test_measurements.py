@@ -71,14 +71,14 @@ def test_container_layout_and_run_axis():
     assert [(x.kind, x.s) for x in sensor_list(m)] == [(x.kind, x.s) for x in items]
     layout, T_meas, eps_meas = meas.stack_runs(m)
     assert layout is m and T_meas.shape == (1, 1, 4, 4) and eps_meas.shape == (1, 2, 6)
-    # Values with a leading run axis are the runs of a batch on one layout.
-    T_runs, eps_runs = np.stack([m.T_meas] * 3), np.stack([m.eps_meas, 2 * m.eps_meas, m.eps_meas])
-    runs = meas.Measurements(m.s, m.kind, m.mask, m.R, T_runs, eps_runs)
-    _, T_meas, eps_meas = meas.stack_runs([m, runs])
+    # The runs of a batch are a list of containers on one layout.
+    twice = meas.Measurements(m.s, m.kind, m.mask, m.R, m.T_meas, 2 * m.eps_meas)
+    _, T_meas, eps_meas = meas.stack_runs([m, m, twice, m])
     assert T_meas.shape == (4, 1, 4, 4)
     np.testing.assert_array_equal(eps_meas[2], 2 * m.eps_meas)
-    for T_bad, eps_bad in ((m.T_meas, runs.eps_meas), (runs.T_meas, np.stack([m.eps_meas] * 2))):
-        with pytest.raises(ValueError, match="eps_meas must have shape"):
+    # A container holds one run: values with a leading run axis are refused.
+    for T_bad, eps_bad in ((m.T_meas, np.stack([m.eps_meas] * 3)), (np.stack([m.T_meas] * 3), m.eps_meas)):
+        with pytest.raises(ValueError, match="_meas must have shape"):
             meas.Measurements(m.s, m.kind, m.mask, m.R, T_bad, eps_bad)
     # One information block per sensor: R^-1 on its masked components.
     np.testing.assert_allclose(m.information(), np.linalg.inv(m.R), rtol=1e-15)

@@ -679,16 +679,13 @@ def test_stacked_measurement_information_masks_each_covariance():
     for second in (other, measurements[:-1], measurements[1:] + measurements[:1]):
         with pytest.raises(ValueError, match="must share their measurement nodes, kinds and covariances"):
             solver.Problem(grid, HYPER, [sensors(measurements), sensors(second)], [guess, guess])
-    # A container with a run axis is the batch of its runs.
+    # A list of containers is the batch of their runs, their values stacked.
     one = sensors(measurements)
-    shifted = dict(T_meas=se3.exp_se3(0.01 * np.ones(6)) @ one.T_meas, eps_meas=one.eps_meas + 0.1)
-    second = dataclasses.replace(one, **shifted)
-    runs = dataclasses.replace(one, **{f: np.stack([getattr(one, f), shifted[f]]) for f in shifted})
-    by_list, by_axis = (solver.Problem(grid, HYPER, ms, [guess, guess]) for ms in ([one, second], runs))
-    for a, b in ((by_list.pose_stack, by_axis.pose_stack), (by_list.strain_stack, by_axis.strain_stack)):
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+    second = dataclasses.replace(one, T_meas=se3.exp_se3(0.01 * np.ones(6)) @ one.T_meas, eps_meas=one.eps_meas + 0.1)
+    batch = solver.Problem(grid, HYPER, [one, second], [guess, guess])
+    np.testing.assert_array_equal(batch.pose_stack[2], np.stack([one.T_meas, second.T_meas]))
+    np.testing.assert_array_equal(batch.strain_stack[2], np.stack([one.eps_meas, second.eps_meas]))
     with pytest.raises(ValueError, match="one run of measured values per initial guess"):
-        solver.Problem(grid, HYPER, runs, guess)
+        solver.Problem(grid, HYPER, [one, second], guess)
     with pytest.raises(ValueError, match="one run of measured values per initial guess"):
         solver.Problem(grid, HYPER, [one] * 3, [guess, guess])
