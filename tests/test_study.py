@@ -11,7 +11,7 @@ from rodgp import rodsim, se3, study
 from rodgp.prior import PriorHyperparams, StateNode
 from rodgp.rodsim import Actuation, MeasurementNoise, Scenario
 
-from oracles import exp_so3, pose_residual, sensor_list, sensors
+from oracles import exp_so3, initial_guess_study, max_residual_sigmas, pose, pose_residual, sensor_list, sensors, strain
 
 SRC = Path(study.__file__).resolve().parents[1]
 
@@ -83,6 +83,146 @@ def test_model_guess_reads_shape(props, small_dataset):
         np.testing.assert_array_equal(node.eps, ref.eps)
 
 
+def scenario_guesses(props, dataset, scenario):
+    """Each run's measurements under `scenario`, their grid, and the
+    measured guess of the whole batch."""
+    config = study.ScenarioConfig(scenario, seed=5)
+    measurements = [
+        rodsim.extract_measurements(shape, scenario, props, config.noise, np.random.default_rng([5, i]))
+        for i, (_, shape) in enumerate(dataset)
+    ]
+    grid = study.estimation_grid(props.total_length, config.num_intervals, measurements[0].s)
+    return measurements, grid, study.measured_guess(grid, measurements, config.hyperparams())
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_measured_guess_is_the_same_alone_and_in_a_batch(props, small_dataset, scenario):
+    measurements, grid, batch = scenario_guesses(props, small_dataset, scenario)
+    hyper = study.ScenarioConfig(scenario).hyperparams()
+    assert batch.s.shape == (3, grid.size) and np.array_equal(batch.s, np.tile(grid, (3, 1)))
+    for run, ms in enumerate(measurements):
+        alone = study.measured_guess(grid, [ms], hyper)
+        assert alone.T.tobytes() == batch.T[run].tobytes()
+        assert alone.eps.tobytes() == batch.eps[run].tobytes()
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_measured_guess_is_a_pose_stack_from_the_identity_root(props, small_dataset, scenario):
+    _, _, guess = scenario_guesses(props, small_dataset, scenario)
+    se3.check_pose(guess.T)
+    np.testing.assert_array_equal(guess.T[:, 0], np.tile(np.eye(4), (3, 1, 1)))
+
+
+def test_strain_guess_returns_the_measured_strains_at_their_nodes(props, small_dataset):
+    measurements, grid, guess = scenario_guesses(props, small_dataset, Scenario.STRAIN_PLUS_TIP_POSE)
+    strain = measurements[0].kind == "strain"
+    nodes = np.argmin(np.abs(grid - measurements[0].s[strain, None]), axis=1)
+    for run, ms in enumerate(measurements):
+        np.testing.assert_array_equal(guess.eps[run, nodes], ms.eps_meas)
+
+
+def test_pose_guess_passes_through_the_measured_poses(props, small_dataset):
+    measurements, grid, guess = scenario_guesses(props, small_dataset, Scenario.POSE_AT_SEGMENT_ENDS)
+    nodes = np.argmin(np.abs(grid - measurements[0].s[:, None]), axis=1)
+    for run, ms in enumerate(measurements):
+        # The guess is on SE(3); a simulated pose may sit off it by the
+        # dense pass's drift, up to 2.1e-11 in this dataset.
+        C = ms.T_meas[:, :3, :3]
+        drift = np.abs(np.swapaxes(C, -1, -2) @ C - np.eye(3)).max()
+        np.testing.assert_allclose(guess.T[run, nodes], ms.T_meas, rtol=0, atol=1e-12 + drift)
+
+
+def strain_guess_by_node(grid, items, eps_bar):
+    """The strain guess as a scan: per component, np.interp over the mean
+    of the sensors on each observing node, then a per-node rollout."""
+    eps = np.tile(eps_bar, (grid.size, 1))
+    for c in range(6):
+        by_node = {}
+        for m in items:
+            if m.mask[c]:
+                by_node.setdefault(int(np.argmin(np.abs(grid - m.s))), []).append(m.value[c])
+        if by_node:
+            nodes = sorted(by_node)
+            eps[:, c] = np.interp(grid, grid[nodes], [np.mean(by_node[k]) for k in nodes])
+    T = [np.eye(4)]
+    for k in range(grid.size - 1):
+        T.append(se3.exp_se3(0.5 * (eps[k] + eps[k + 1]) * (grid[k + 1] - grid[k])) @ T[-1])
+    return np.array(T), eps
+
+
+def pose_guess_by_node(grid, items):
+    """The pose guess as a scan: spans between the identity root and each
+    node's first fully observed pose, a constant strain over each."""
+    anchors = {0: np.eye(4)}
+    for m in items:
+        if m.kind == "pose" and m.mask.all():
+            anchors.setdefault(int(np.argmin(np.abs(grid - m.s))), m.value)
+    nodes = sorted(anchors)
+    T, eps = [], []
+    for k, s in enumerate(grid):
+        j = min(max(int(np.searchsorted(nodes, k)), 1), len(nodes) - 1)
+        a, b = nodes[j - 1], nodes[j]
+        strain_ab = se3.log_se3(anchors[b] @ se3.pose_inverse(anchors[a])) / (grid[b] - grid[a])
+        T.append(se3.exp_se3((s - grid[a]) * strain_ab) @ anchors[a])
+        eps.append(strain_ab)
+    return np.array(T), np.array(eps)
+
+
+def test_measured_guess_takes_unsorted_shared_and_partial_sensors():
+    hyper = PriorHyperparams(np.eye(6), np.array([1.0, 0, 0, 0, 0, 0]))
+    gen = np.random.default_rng(12)
+    R, partial = 1e-4 * np.eye(6), np.array([True, False, True, True, False, True])
+    only_5 = np.array([False] * 5 + [True])
+    strains = [
+        strain(0.21, gen.normal(0, 3, 6), R, partial),
+        strain(0.07, gen.normal(0, 3, 6), R, partial),
+        strain(0.21, gen.normal(0, 3, 6), R, np.arange(6) == 1),
+        strain(0.14, gen.normal(0, 3, 6), R),
+        strain(0.07, gen.normal(0, 3, 6), R),
+        strain(0.1, gen.normal(0, 3, 6), R, only_5),
+    ]
+    grid = study.estimation_grid(0.28, 10, [m.s for m in strains])
+    at = {s: int(np.argmin(np.abs(grid - s))) for s in (0.07, 0.14, 0.21)}
+    for items in (strains, strains[::-1], strains[5:]):
+        T, eps = strain_guess_by_node(grid, items, hyper.eps_bar)
+        guess = study.measured_guess(grid, [sensors(items)], hyper)
+        np.testing.assert_allclose(guess.eps[0], eps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(guess.T[0], T, rtol=0, atol=1e-12)
+    # Held before the first node observing a component and past the last:
+    # component 4 is observed at 0.07 and 0.14 only.
+    eps = study.measured_guess(grid, [sensors(strains)], hyper).eps[0]
+    assert np.all(eps[: at[0.07] + 1] == eps[at[0.07]]) and np.all(eps[at[0.14] :, 4] == eps[at[0.14], 4])
+    np.testing.assert_allclose(eps[at[0.07]], (strains[1].value * partial + strains[4].value) / (1 + partial))
+    # Components that no sensor observes take eps_bar.
+    eps = study.measured_guess(grid, [sensors(strains[5:])], hyper).eps[0]
+    np.testing.assert_array_equal(eps[:, :5], np.tile(hyper.eps_bar[:5], (grid.size, 1)))
+
+    turns = se3.exp_se3(gen.uniform(-0.4, 0.4, (4, 6)))
+    poses = [
+        pose(0.2, turns[0], R),
+        pose(0.1, turns[1], R),
+        pose(0.2, turns[2], R),
+        pose(0.25, turns[3], R, partial),
+        pose(0.0, turns[3], R),
+    ]
+    grid = study.estimation_grid(0.28, 10, [m.s for m in poses])
+    for order in (poses, poses[::-1]):
+        T, eps = pose_guess_by_node(grid, order)
+        guess = study.measured_guess(grid, [sensors(order)], hyper)
+        np.testing.assert_allclose(guess.eps[0], eps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(guess.T[0], T, rtol=0, atol=1e-12)
+    # The first sensor of a shared node anchors it.
+    anchor = np.argmin(np.abs(grid - 0.2))
+    np.testing.assert_allclose(study.measured_guess(grid, [sensors(poses)], hyper).T[0, anchor], turns[0], atol=1e-12)
+
+    # With no strain sensor and no fully observed pose, the straight rollout.
+    straight = study.straight_guess(grid, hyper)
+    for items in ([], poses[3:]):
+        guess = study.measured_guess(grid, [sensors(items)], hyper)
+        np.testing.assert_array_equal(guess.T[0], straight.T)
+        np.testing.assert_array_equal(guess.eps[0], straight.eps)
+
+
 def test_query_points_counting():
     grid = np.array([0.0, 0.1, 0.2])
     taus, is_node = study.query_points(grid, 3)
@@ -104,7 +244,7 @@ def test_run_single_zero_noise_recovers_tip(props, small_dataset):
     record = study.run_single(props, shape, measurements, config)
     assert record.solution.converged
     assert record.pos_err[-1] < 1.5e-3
-    assert study.max_residual_sigmas(record.solution, measurements) < 0.01
+    assert max_residual_sigmas(record.solution, measurements) < 0.01
     hits = study.envelope_hits(record)
     assert hits.size == record.is_node.sum()
     assert hits[0]  # locked root: exact hit through the zero-cov branch
@@ -181,7 +321,7 @@ def test_initial_guess_study_mild_bend_shares_basin(props):
     # With a 1 N single-tendon bend, the straight and simulator-shape
     # initial guesses converge to the same optimum to solver precision.
     config = study.ScenarioConfig(SCENARIO_1)
-    report = study.initial_guess_study(props, Actuation((1.0,) + (0.0,) * 7), config)
+    report = initial_guess_study(props, Actuation((1.0,) + (0.0,) * 7), config)
     assert report.straight.converged and report.model.converged
     dev = 0.0
     for a, b in zip(report.straight.nodes, report.model.nodes):
@@ -275,10 +415,10 @@ def test_vectorised_scorers_equal_their_per_point_forms(props, small_dataset, sc
         mask[-1] = [True, False, True, True, False, True]
         masked = dataclasses.replace(measurements, mask=mask)
         for ms in (measurements, masked):
-            assert study.max_residual_sigmas(record.solution, ms) == max_residual_sigmas_by_measurement(
+            assert max_residual_sigmas(record.solution, ms) == max_residual_sigmas_by_measurement(
                 record.solution, ms
             )
-    assert study.max_residual_sigmas(result.records[0].solution, sensors([])) == 0.0
+    assert max_residual_sigmas(result.records[0].solution, sensors([])) == 0.0
 
 
 def test_simulating_and_studying_leave_numpy_ma_unimported():
